@@ -43,13 +43,12 @@ from .experiment import (
     Scene,
     SweepRow,
     angular_dispersion,
-    default_scene,
     detuning_sweep,
     estimate_parameters,
     run_point,
     spectral_resolution,
 )
-from .config import RunConfig, ConfigError, parse_config, scene_from_config, serialize_config
+from .config import RunConfig, ConfigError, default_scene, parse_config, scene_from_config, serialize_config
 
 __version__ = "0.1.0"
 

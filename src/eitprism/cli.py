@@ -21,6 +21,7 @@ import argparse
 import math
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,20 +69,16 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def _sweep_range(cfg: RunConfig, args: argparse.Namespace) -> tuple[float, float, int]:
-    lo_hz, hi_hz, n = sweep_bounds(cfg)
-    lo_hz /= TWO_PI
-    hi_hz /= TWO_PI
-    if args.min_hz is not None:
-        lo_hz = args.min_hz
-    if args.max_hz is not None:
-        hi_hz = args.max_hz
-    if args.points is not None:
-        n = args.points
-    if n < 2:
-        raise ConfigError("need at least 2 points")
-    if not hi_hz > lo_hz:
-        raise ConfigError("max-hz must exceed min-hz")
-    return lo_hz, hi_hz, n
+    """Sweep start and end in Hz plus point count: the command-line flags
+    override the config's sweep keys, and the result is validated once."""
+    flags = {
+        "sweep_min_hz": args.min_hz,
+        "sweep_max_hz": args.max_hz,
+        "sweep_points": args.points,
+    }
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    sweep_bounds(cfg)
+    return cfg.sweep_min_hz, cfg.sweep_max_hz, cfg.sweep_points
 
 
 def cmd_chi(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
@@ -127,7 +124,7 @@ def cmd_sweep(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     _emit(lines, args.out)
 
     slope, noisy = angular_dispersion(scene)
-    resolution = spectral_resolution(scene)
+    resolution = spectral_resolution(scene, max_separation=TWO_PI * (hi_hz - lo_hz))
     flags = "dispersion_noise" if noisy else ""
     summary = [
         "d_theta_d_lambda_per_nm,glass_reference_per_nm,glass_ratio,resolution,flags",

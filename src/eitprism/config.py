@@ -17,36 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .experiment import (
-    DEFAULT_CELL_LENGTH_MM,
-    DEFAULT_CONTROL_CENTER_MM,
-    DEFAULT_CONTROL_RABI_HZ,
-    DEFAULT_CONTROL_WAIST_MM,
-    DEFAULT_DENSITY,
-    DEFAULT_DETECTOR_DISTANCE_MM,
-    DEFAULT_GAMMA_CB_HZ,
-    DEFAULT_GAMMA_HZ,
-    DEFAULT_GAMMA_R_HZ,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_GRID_SPAN_MM,
-    DEFAULT_N_SLICES,
-    DEFAULT_PROBE_OFFSET_MM,
-    DEFAULT_PROBE_WAIST_MM,
-    DEFAULT_RAY_STEPS,
-    DEFAULT_SWEEP_MAX_HZ,
-    DEFAULT_SWEEP_MIN_HZ,
-    DEFAULT_SWEEP_POINTS,
-    DEFAULT_WAVELENGTH_NM,
-    TWO_PI,
-    ProbeSpec,
-    Scene,
-)
+from .experiment import TWO_PI, ProbeSpec, Scene
 from .medium import ControlField, MediumParams
 from .waves import centered_grid
 
 __all__ = [
     "ConfigError",
     "RunConfig",
+    "default_scene",
     "parse_config",
     "serialize_config",
     "scene_from_config",
@@ -60,25 +38,34 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    wavelength_nm: float = DEFAULT_WAVELENGTH_NM
-    density_cm3: float = DEFAULT_DENSITY
-    gamma_r_hz: float = DEFAULT_GAMMA_R_HZ
-    gamma_hz: float = DEFAULT_GAMMA_HZ
-    gamma_cb_hz: float = DEFAULT_GAMMA_CB_HZ
-    cell_length_mm: float = DEFAULT_CELL_LENGTH_MM
-    control_rabi_hz: float = DEFAULT_CONTROL_RABI_HZ
-    control_waist_mm: float = DEFAULT_CONTROL_WAIST_MM
-    control_center_mm: float = DEFAULT_CONTROL_CENTER_MM
-    probe_waist_mm: float = DEFAULT_PROBE_WAIST_MM
-    probe_offset_mm: float = DEFAULT_PROBE_OFFSET_MM
-    detector_distance_mm: float = DEFAULT_DETECTOR_DISTANCE_MM
-    grid_points: int = DEFAULT_GRID_POINTS
-    grid_span_mm: float = DEFAULT_GRID_SPAN_MM
-    n_slices: int = DEFAULT_N_SLICES
-    ray_steps: int = DEFAULT_RAY_STEPS
-    sweep_min_hz: float = DEFAULT_SWEEP_MIN_HZ
-    sweep_max_hz: float = DEFAULT_SWEEP_MAX_HZ
-    sweep_points: int = DEFAULT_SWEEP_POINTS
+    """Every run setting, in laboratory units.  The defaults are the stock
+    experiment: a 7.5 cm rubidium-line cell driven by a wide control beam,
+    the probe launched on the control-beam shoulder, the detector 230 cm
+    past the cell exit."""
+
+    wavelength_nm: float = 795.0
+    density_cm3: float = 3e11
+    gamma_r_hz: float = 5.75e6
+    gamma_hz: float = 1.5e6
+    gamma_cb_hz: float = 1e3
+    cell_length_mm: float = 75.0
+    control_rabi_hz: float = 1e7
+    control_waist_mm: float = 36.0
+    control_center_mm: float = 0.0
+    # 0.7 mm intensity FWHM expressed as a 1/e field radius.
+    probe_waist_mm: float = 0.7 / math.sqrt(2.0 * math.log(2.0))
+    # Default control waist / sqrt(2), the steepest point of the Rabi
+    # profile.  It does not follow control_waist_mm; a config that changes
+    # the control beam sets it as well.
+    probe_offset_mm: float = control_waist_mm / math.sqrt(2.0)
+    detector_distance_mm: float = 2300.0
+    grid_points: int = 16_384
+    grid_span_mm: float = 128.0
+    n_slices: int = 200
+    ray_steps: int = 10_000
+    sweep_min_hz: float = -2e7
+    sweep_max_hz: float = 2e7
+    sweep_points: int = 101
 
 
 _FIELD_ORDER = [f.name for f in fields(RunConfig)]
@@ -161,6 +148,11 @@ def scene_from_config(cfg: RunConfig) -> Scene:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def default_scene() -> Scene:
+    """The stock experiment: the scene of the empty config."""
+    return scene_from_config(RunConfig())
 
 
 def sweep_bounds(cfg: RunConfig) -> tuple[float, float, int]:

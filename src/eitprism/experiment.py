@@ -5,8 +5,9 @@ parameters, the transverse grid and the detector distance.  run_point
 answers, for one two-photon detuning: what is the ray-optics exit angle,
 the wave-optics pointing angle (far-field centroid drift over the flight
 to the detector), the transmitted power fraction, and the far-field spot
-position and size.  Sweeps, the angular-dispersion slope and the
-spectral-resolution search are built on top of that single primitive.
+position and size.  Sweeps are built on run_point; the angular-dispersion
+slope and the spectral-resolution search read only the wave quantities,
+so they use its wave half and trace no rays.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .waves import (
     GuardBandError,
     ZeroPowerError,
     beam_width,
-    centered_grid,
     centroid,
     make_gaussian_probe,
     propagate_free,
@@ -35,7 +35,6 @@ __all__ = [
     "ProbeSpec",
     "Scene",
     "SweepRow",
-    "default_scene",
     "estimate_parameters",
     "run_point",
     "detuning_sweep",
@@ -59,6 +58,12 @@ LOW_POWER_FLOOR = 1e-9
 # Far-centroid pointing differences below this angle (rad) are noise.
 DISPERSION_NOISE_FLOOR = 1e-12
 
+# Widest detuning separation (rad/s) the resolution search tries: without
+# a cap it never ends on a cell whose spots do not separate, such as an
+# empty one.  The value is the span of the stock +-20 MHz sweep; the CLI
+# passes the span of the run's own sweep instead.
+RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
+
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -79,8 +84,8 @@ class Scene:
     probe: ProbeSpec
     detector_distance: float
     grid: Grid1D
-    n_slices: int = 200
-    ray_steps: int = 10_000
+    n_slices: int
+    ray_steps: int
 
     def __post_init__(self) -> None:
         if self.detector_distance <= 0.0:
@@ -112,59 +117,6 @@ class SweepRow:
     flags: tuple[str, ...]
 
 
-# Default scene: a 7.5 cm rubidium-line cell driven by a wide control beam,
-# probe launched on the control-beam shoulder (waist/sqrt(2), the steepest
-# point of the Rabi profile), detector 230 cm past the cell exit.  Values
-# are kept in the laboratory units of the config file (nm, mm, Hz) and
-# converted with exactly the expressions used by scene_from_config, so the
-# empty config and default_scene() agree bit for bit.
-DEFAULT_WAVELENGTH_NM = 795.0
-DEFAULT_DENSITY = 3e11
-DEFAULT_GAMMA_R_HZ = 5.75e6
-DEFAULT_GAMMA_HZ = 1.5e6
-DEFAULT_GAMMA_CB_HZ = 1e3
-DEFAULT_CELL_LENGTH_MM = 75.0
-DEFAULT_CONTROL_RABI_HZ = 1e7
-DEFAULT_CONTROL_WAIST_MM = 36.0
-DEFAULT_CONTROL_CENTER_MM = 0.0
-# 0.7 mm intensity FWHM expressed as a 1/e field radius.
-DEFAULT_PROBE_WAIST_MM = 0.7 / math.sqrt(2.0 * math.log(2.0))
-DEFAULT_PROBE_OFFSET_MM = DEFAULT_CONTROL_WAIST_MM / math.sqrt(2.0)
-DEFAULT_DETECTOR_DISTANCE_MM = 2300.0
-DEFAULT_GRID_POINTS = 16_384
-DEFAULT_GRID_SPAN_MM = 128.0
-DEFAULT_N_SLICES = 200
-DEFAULT_RAY_STEPS = 10_000
-DEFAULT_SWEEP_MIN_HZ = -2e7
-DEFAULT_SWEEP_MAX_HZ = 2e7
-DEFAULT_SWEEP_POINTS = 101
-
-
-def default_scene() -> Scene:
-    return Scene(
-        medium=MediumParams(
-            wavelength=DEFAULT_WAVELENGTH_NM * 1e-7,
-            density=DEFAULT_DENSITY,
-            gamma_r=TWO_PI * DEFAULT_GAMMA_R_HZ,
-            gamma=TWO_PI * DEFAULT_GAMMA_HZ,
-            gamma_cb=TWO_PI * DEFAULT_GAMMA_CB_HZ,
-            cell_length=DEFAULT_CELL_LENGTH_MM * 0.1,
-        ),
-        control=ControlField(
-            omega_peak=TWO_PI * DEFAULT_CONTROL_RABI_HZ,
-            waist=DEFAULT_CONTROL_WAIST_MM * 0.1,
-            center=DEFAULT_CONTROL_CENTER_MM * 0.1,
-        ),
-        probe=ProbeSpec(
-            waist=DEFAULT_PROBE_WAIST_MM * 0.1, offset=DEFAULT_PROBE_OFFSET_MM * 0.1
-        ),
-        detector_distance=DEFAULT_DETECTOR_DISTANCE_MM * 0.1,
-        grid=centered_grid(DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN_MM * 0.1),
-        n_slices=DEFAULT_N_SLICES,
-        ray_steps=DEFAULT_RAY_STEPS,
-    )
-
-
 def estimate_parameters() -> tuple[MediumParams, ControlField, float, float]:
     """Dense-cell conditions for the order-of-magnitude deflection estimate.
 
@@ -188,14 +140,18 @@ def estimate_parameters() -> tuple[MediumParams, ControlField, float, float]:
 
 def run_point(scene: Scene, delta: float) -> SweepRow:
     """Measure one detuning: trace the ray, propagate the wave, read the detector."""
-    flags: list[str] = []
     traj = trace_ray(
         delta, scene.probe.offset, 0.0, scene.medium, scene.control, scene.ray_steps
     )
-    theta_ray = exit_angle(traj)
-    if traj.paraxial_violation:
-        flags.append("paraxial")
+    row = _wave_point(scene, delta)
+    ray_flags = ("paraxial",) if traj.paraxial_violation else ()
+    return replace(row, theta_ray=exit_angle(traj), flags=ray_flags + row.flags)
 
+
+def _wave_point(scene: Scene, delta: float) -> SweepRow:
+    """Wave half of run_point: propagate the probe and read the detector.
+    The row's ``theta_ray`` is NaN; no ray is traced."""
+    flags: list[str] = []
     nan = float("nan")
     theta_wave = far_centroid = far_width = nan
     trans = nan
@@ -224,7 +180,7 @@ def run_point(scene: Scene, delta: float) -> SweepRow:
 
     return SweepRow(
         detuning=delta,
-        theta_ray=theta_ray,
+        theta_ray=nan,
         theta_wave=theta_wave,
         transmission=trans,
         far_centroid=far_centroid,
@@ -273,8 +229,8 @@ def angular_dispersion(
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    hi = run_point(scene, d_ref + step)
-    lo = run_point(scene, d_ref - step)
+    hi = _wave_point(scene, d_ref + step)
+    lo = _wave_point(scene, d_ref - step)
     diff = hi.theta_wave - lo.theta_wave
     slope = diff / (2.0 * step)
     lam_per_rad = scene.medium.wavelength**2 / (TWO_PI * C_LIGHT) * 1e7  # nm s/rad
@@ -286,8 +242,8 @@ def _spots_resolved(scene: Scene, d_ref: float, separation: float) -> bool | Non
     """Rayleigh-style test: two detunings ``separation`` apart land as two
     far-field spots; resolved when centroid distance >= mean spot width.
     Returns None when either spot carries no usable power."""
-    a = run_point(scene, d_ref - 0.5 * separation)
-    b = run_point(scene, d_ref + 0.5 * separation)
+    a = _wave_point(scene, d_ref - 0.5 * separation)
+    b = _wave_point(scene, d_ref + 0.5 * separation)
     if not (math.isfinite(a.far_centroid) and math.isfinite(b.far_centroid)):
         return None
     gap = abs(b.far_centroid - a.far_centroid)
@@ -298,7 +254,7 @@ def spectral_resolution(
     scene: Scene,
     d_ref: float = 0.0,
     initial_separation: float = TWO_PI * 1e3,
-    max_separation: float = TWO_PI * (DEFAULT_SWEEP_MAX_HZ - DEFAULT_SWEEP_MIN_HZ),
+    max_separation: float = RESOLUTION_SEARCH_CAP,
     rel_tol: float = 1e-3,
 ) -> float:
     """Resolving power R = omega / d_omega_min at the carrier frequency.
@@ -306,8 +262,8 @@ def spectral_resolution(
     d_omega_min is the smallest detuning separation whose two far-field
     spots pass the Rayleigh test, found by doubling until resolved and then
     bisecting.  Returns NaN (unresolvable) when the search passes
-    ``max_separation`` (the default sweep span) or the spots run out of
-    transmitted power first.
+    ``max_separation`` or the spots run out of transmitted power first.
+    The CLI passes the span of the run's sweep.
     """
     omega = TWO_PI * C_LIGHT / scene.medium.wavelength
     lo = 0.0

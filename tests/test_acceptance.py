@@ -27,11 +27,11 @@ from eitprism.waves import (
     propagate_free,
     propagate_medium,
 )
+from eitprism import default_scene
 from eitprism.experiment import (
     GLASS_DISPERSION_PER_NM,
     C_LIGHT,
     angular_dispersion,
-    default_scene,
     detuning_sweep,
     estimate_parameters,
     run_point,

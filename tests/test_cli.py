@@ -102,6 +102,18 @@ def test_sweep_vacuum(tmp_path):
     assert srows[0][3] == "nan"  # no deflection, nothing to resolve
 
 
+def test_sweep_resolution_search_capped_by_run_span(tmp_path):
+    # Over a 200 Hz sweep the search gives up at 2 pi x 200 Hz, below the
+    # separation the stock cell needs, so the resolving power is NaN.
+    cfg = write_config(tmp_path, FAST_KEYS)
+    out = tmp_path / "narrow.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--points", "2",
+                 "--min-hz", "-100", "--max-hz", "100", "--threads", "1"]) == 0
+    _, srows = rows_of(out.with_name("narrow.summary.csv").read_text(encoding="utf-8"))
+    assert srows[0][3] == "nan"
+    assert srows[0][4] == ""  # the dispersion slope is still measured
+
+
 def test_sweep_offset_sign_flip(tmp_path):
     # Probe on the opposite shoulder of the control beam: deflections negate.
     offset_mm = 36.0 / math.sqrt(2.0) * 0.5
@@ -216,6 +228,21 @@ def test_exit_code_missing_config(tmp_path, capsys):
 def test_exit_code_bad_range(capsys):
     assert main(["chi", "--min-hz", "10", "--max-hz", "-10"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, flags",
+    [
+        ("sweep_points: 1\n", ["--points", "3", "--min-hz", "-100", "--max-hz", "100"]),
+        ("sweep_min_hz: 10\nsweep_max_hz: -10\n", ["--min-hz", "-100", "--max-hz", "100"]),
+    ],
+)
+def test_flags_replace_bad_config_range(tmp_path, capsys, body, flags):
+    # Only the range after the flags are applied has to be valid.
+    cfg = write_config(tmp_path, body)
+    assert main(["chi", "--config", cfg, *flags]) == 0
+    _, rows = rows_of(capsys.readouterr().out)
+    assert float(rows[0][0]) == -100.0 and float(rows[-1][0]) == 100.0
 
 
 def test_exit_code_guard_band(tmp_path, capsys):

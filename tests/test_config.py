@@ -13,7 +13,7 @@ from eitprism.config import (
     serialize_config,
     sweep_bounds,
 )
-from eitprism.experiment import default_scene
+from eitprism import default_scene
 
 TWO_PI = 2.0 * math.pi
 

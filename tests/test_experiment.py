@@ -7,11 +7,11 @@ import pytest
 
 from eitprism.medium import MediumParams, rabi_at
 from eitprism.waves import centered_grid
+from eitprism import default_scene
 from eitprism.experiment import (
     ProbeSpec,
     Scene,
     angular_dispersion,
-    default_scene,
     detuning_sweep,
     estimate_parameters,
     run_point,
@@ -145,9 +145,15 @@ def test_sweep_ordering_and_thread_independence():
     assert [r.detuning for r in rows1] == sorted(r.detuning for r in rows1)
     assert rows1[0].detuning == -TWO_PI * 4e5
     assert rows1[-1].detuning == TWO_PI * 4e5
-    assert rows1 == rows4  # bit-identical regardless of pool size
+    assert repr(rows1) == repr(rows4)  # bit-identical regardless of pool size
     best = max(rows1, key=lambda r: r.transmission)
     assert best.detuning == 0.0
+    # NaN rows too: the guard band trips at +-2 pi x 1e7.  SweepRow == is
+    # False for any row holding a NaN, so only repr can compare them.
+    far1 = detuning_sweep(sc, -TWO_PI * 1e7, TWO_PI * 1e7, 3, threads=1)
+    far4 = detuning_sweep(sc, -TWO_PI * 1e7, TWO_PI * 1e7, 3, threads=4)
+    assert "guard_band" in far1[-1].flags and math.isnan(far1[-1].theta_wave)
+    assert repr(far1) == repr(far4)
 
 
 def test_sweep_validation():

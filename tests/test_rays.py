@@ -12,7 +12,8 @@ from eitprism.rays import (
     integrate_gradient,
     trace_ray,
 )
-from eitprism.experiment import default_scene, estimate_parameters
+from eitprism import default_scene
+from eitprism.experiment import estimate_parameters
 
 TWO_PI = 2.0 * math.pi
 

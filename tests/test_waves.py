@@ -21,7 +21,7 @@ from eitprism.waves import (
     propagate_medium,
     transmission,
 )
-from eitprism.experiment import default_scene
+from eitprism import default_scene
 
 TWO_PI = 2.0 * math.pi
 LAM = 7.95e-5  # cm
