@@ -261,21 +261,24 @@ def spectral_resolution(
 
     d_omega_min is the smallest detuning separation whose two far-field
     spots pass the Rayleigh test, found by doubling until resolved and then
-    bisecting.  Returns NaN (unresolvable) when the search passes
-    ``max_separation`` or the spots run out of transmitted power first.
-    The CLI passes the span of the run's sweep.
+    bisecting.  No separation above ``max_separation`` is probed: returns
+    NaN (unresolvable) when the spots at ``max_separation`` still overlap
+    or the spots run out of transmitted power first.  The CLI passes the
+    span of the run's sweep.
     """
+    if initial_separation <= 0.0 or max_separation <= 0.0:
+        raise ValueError("separations must be positive")
     omega = TWO_PI * C_LIGHT / scene.medium.wavelength
     lo = 0.0
-    hi = initial_separation
+    hi = min(initial_separation, max_separation)
     while True:
         verdict = _spots_resolved(scene, d_ref, hi)
         if verdict:
             break
-        if verdict is None or hi > max_separation:
+        if verdict is None or hi >= max_separation:
             return float("nan")
         lo = hi
-        hi *= 2.0
+        hi = min(2.0 * hi, max_separation)
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if _spots_resolved(scene, d_ref, mid):

@@ -21,14 +21,15 @@ amplifies.
 A transversely Gaussian control beam makes ``omega`` a function of the
 transverse coordinate x, which turns the vapor into a gradient-index
 element.  :func:`index_profile` evaluates n(x) on a grid and
-:func:`grad_index` gives the analytic transverse derivative of Re n used by
-the ray tracer.
+:func:`grad_index` gives the analytic transverse derivative of Re n; the
+ray tracer uses its fixed-detuning form :func:`index_gradient`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "rabi_at",
     "index_profile",
     "grad_index",
+    "index_gradient",
     "grad_index_fd",
 ]
 
@@ -166,14 +168,35 @@ def grad_index(delta: float, x: float, p: MediumParams, c: ControlField) -> floa
         domega/dx = -2*(x - center)/waist^2 * omega
     Scalar-only; the vectorized cross-check is :func:`grad_index_fd`.
     """
-    u = x - c.center
+    return index_gradient(delta, p, c)(x)
+
+
+def index_gradient(
+    delta: float, p: MediumParams, c: ControlField
+) -> Callable[[float], float]:
+    """:func:`grad_index` at fixed ``delta`` as a function of x alone.
+
+    The factors that do not depend on x are computed once, so a ray trace
+    pays only for the x-dependent arithmetic on each of its calls.
+    """
+    rates = (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
+    strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
     inv_w2 = 1.0 / (c.waist * c.waist)
-    om = c.omega_peak * math.exp(-u * u * inv_w2)
-    den = om * om + (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
-    chi = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb) / den
-    n = (1.0 + FOUR_PI * chi) ** 0.5
-    dom_dx = -2.0 * u * inv_w2 * om
-    return ((2.0 * math.pi / n) * (-2.0 * om * chi / den) * dom_dx).real
+    center = c.center
+    omega_peak = c.omega_peak
+    two_pi = 2.0 * math.pi
+    exp = math.exp
+
+    def gradient(x: float) -> float:
+        u = x - center
+        om = omega_peak * exp(-u * u * inv_w2)
+        den = om * om + rates
+        chi = strength / den
+        n = (1.0 + FOUR_PI * chi) ** 0.5
+        dom_dx = -2.0 * u * inv_w2 * om
+        return ((two_pi / n) * (-2.0 * om * chi / den) * dom_dx).real
+
+    return gradient
 
 
 def grad_index_fd(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .medium import ControlField, MediumParams, grad_index
+from .medium import ControlField, MediumParams, grad_index, index_gradient
 
 __all__ = [
     "RayState",
@@ -70,16 +70,17 @@ def integrate_gradient(
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     dz = length / n_steps
+    half = 0.5 * dz
     x, v = x0, theta0
     states = [RayState(0.0, x, v)]
     violated = abs(v) >= PARAXIAL_LIMIT
     for i in range(n_steps):
         k1v = gradient(x)
         k1x = v
-        k2v = gradient(x + 0.5 * dz * k1x)
-        k2x = v + 0.5 * dz * k1v
-        k3v = gradient(x + 0.5 * dz * k2x)
-        k3x = v + 0.5 * dz * k2v
+        k2v = gradient(x + half * k1x)
+        k2x = v + half * k1v
+        k3v = gradient(x + half * k2x)
+        k3x = v + half * k2v
         k4v = gradient(x + dz * k3x)
         k4x = v + dz * k3v
         x += dz * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
@@ -101,11 +102,9 @@ def trace_ray(
     """Trace one probe ray through the cell at two-photon detuning ``delta``."""
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
-
-    def gradient(x: float) -> float:
-        return grad_index(delta, x, p, c)
-
-    return integrate_gradient(gradient, x0, theta0, p.cell_length, n_steps)
+    return integrate_gradient(
+        index_gradient(delta, p, c), x0, theta0, p.cell_length, n_steps
+    )
 
 
 def exit_angle(trajectory: Trajectory) -> float:

@@ -208,12 +208,18 @@ def propagate_medium(
     screen = np.exp(1j * field.k0 * (n_x - 1.0) * dz)
     half = _free_kernel(field, 0.5 * dz)
     full = _free_kernel(field, dz)
-    a = np.fft.ifft(np.fft.fft(field.amplitude) * half)
+    # The forward FFT allocates the one complex128 buffer that every slice
+    # then updates in place (``out=`` needs numpy >= 2.0); the caller's
+    # amplitude is never written.
+    a = np.fft.fft(np.asarray(field.amplitude, dtype=complex))
+    a *= half
+    np.fft.ifft(a, out=a)
     z = field.z
     for i in range(n_slices):
-        a = a * screen
-        kernel = full if i < n_slices - 1 else half
-        a = np.fft.ifft(np.fft.fft(a) * kernel)
+        a *= screen
+        np.fft.fft(a, out=a)
+        a *= full if i < n_slices - 1 else half
+        np.fft.ifft(a, out=a)
         z = field.z + (i + 1) * dz
         _check_guard(TransverseField(field.grid, field.wavelength, a, z))
     return TransverseField(field.grid, field.wavelength, a, z)
@@ -229,7 +235,9 @@ def centroid(field: TransverseField) -> float:
     total = w.sum()
     if total == 0.0:
         raise ZeroPowerError("centroid of a zero-power field")
-    return float(np.dot(field.grid.xs(), w) / total)
+    # Reductions rather than np.dot: a BLAS dot on the grid wakes OpenBLAS
+    # worker threads that keep spinning after it returns.
+    return float(np.sum(field.grid.xs() * w) / total)
 
 
 def beam_width(field: TransverseField) -> float:
@@ -243,8 +251,9 @@ def beam_width(field: TransverseField) -> float:
     if total == 0.0:
         raise ZeroPowerError("width of a zero-power field")
     xs = field.grid.xs()
-    mean = np.dot(xs, w) / total
-    var = np.dot((xs - mean) ** 2, w) / total
+    # np.sum, not np.dot: see centroid.
+    mean = np.sum(xs * w) / total
+    var = np.sum((xs - mean) ** 2 * w) / total
     return float(2.0 * math.sqrt(var))
 
 

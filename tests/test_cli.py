@@ -1,12 +1,15 @@
 """CLI surface: CSV schemas, config plumbing, exit codes, determinism."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eitprism
 from eitprism.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -263,10 +266,15 @@ def test_sweep_requires_out():
 
 
 def test_module_entry_point():
+    # The child interpreter imports the same package as this test, also
+    # when pytest put src/ on sys.path rather than PYTHONPATH.
+    src = str(Path(eitprism.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "eitprism", "chi", "--points", "3",
          "--min-hz", "-1000", "--max-hz", "1000"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("detuning_hz,")

@@ -7,8 +7,9 @@ import pytest
 
 from eitprism.medium import MediumParams, rabi_at
 from eitprism.waves import centered_grid
-from eitprism import default_scene
+from eitprism import default_scene, experiment
 from eitprism.experiment import (
+    C_LIGHT,
     ProbeSpec,
     Scene,
     angular_dispersion,
@@ -195,6 +196,33 @@ def test_spectral_resolution_vacuum_unresolvable():
     sc = vacuum_scene(grid=centered_grid(4096, 12.8))
     r = spectral_resolution(sc, initial_separation=TWO_PI * 1e7)
     assert math.isnan(r)
+
+
+def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
+    needed = TWO_PI * 30.4e3
+    probed = []
+
+    def resolved_from_needed(scene, d_ref, separation):
+        probed.append(separation)
+        return separation >= needed
+
+    monkeypatch.setattr(experiment, "_spots_resolved", resolved_from_needed)
+    sc = default_scene()
+    omega = TWO_PI * C_LIGHT / sc.medium.wavelength
+
+    assert math.isnan(spectral_resolution(sc, max_separation=TWO_PI * 2e4))
+    assert max(probed) == TWO_PI * 2e4
+
+    probed.clear()
+    cap = TWO_PI * 31e3
+    sep = omega / spectral_resolution(sc, max_separation=cap)
+    assert max(probed) == cap
+    assert needed * (1 - 1e-12) <= sep <= cap * (1 + 1e-12)
+
+    with pytest.raises(ValueError):
+        spectral_resolution(sc, max_separation=0.0)
+    with pytest.raises(ValueError):
+        spectral_resolution(sc, initial_separation=-1.0)
 
 
 def test_outer_zero_structure():

@@ -261,6 +261,30 @@ def test_grad_index_against_finite_difference():
     assert a == pytest.approx(b, rel=1e-6)
 
 
+def grad_index_per_call(delta, x, p, c):
+    """The gradient with every factor recomputed on each call: the
+    reference for the hoisted form, which must match it exactly."""
+    u = x - c.center
+    inv_w2 = 1.0 / (c.waist * c.waist)
+    om = c.omega_peak * math.exp(-u * u * inv_w2)
+    den = om * om + (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
+    chi = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb) / den
+    n = (1.0 + 4.0 * math.pi * chi) ** 0.5
+    dom_dx = -2.0 * u * inv_w2 * om
+    return ((2.0 * math.pi / n) * (-2.0 * om * chi / den) * dom_dx).real
+
+
+def test_grad_index_matches_per_call_formula():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        delta, omega, p = random_point(rng)
+        c = ControlField(
+            omega_peak=omega, waist=10.0 ** rng.uniform(-2.0, 1.0), center=rng.uniform(-1.0, 1.0)
+        )
+        x = c.center + c.waist * rng.uniform(-3.0, 3.0)
+        assert grad_index(delta, x, p, c) == grad_index_per_call(delta, x, p, c)
+
+
 def test_grad_index_symmetries():
     p = make_params()
     c = ControlField(omega_peak=TWO_PI * 1e7, waist=3.6, center=0.25)

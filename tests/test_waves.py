@@ -1,16 +1,25 @@
 """Split-step propagator: grids, free-space oracle, medium checks, metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eitprism.medium import ControlField, MediumParams, complex_chi, rabi_at, refractive_index
+from eitprism.medium import (
+    ControlField,
+    MediumParams,
+    complex_chi,
+    index_profile,
+    rabi_at,
+    refractive_index,
+)
 from eitprism.waves import (
     Grid1D,
     GuardBandError,
     TransverseField,
     ZeroPowerError,
+    _free_kernel,
     beam_width,
     centered_grid,
     centroid,
@@ -139,6 +148,55 @@ def test_medium_vacuum_matches_free():
     assert np.abs(through.amplitude - free.amplitude).max() < 1e-12 * peak
 
 
+def test_propagation_leaves_input_untouched():
+    # profile reuses one probe for every detuning, so a propagator that
+    # wrote into its input would corrupt the later columns.
+    sc = default_scene()
+    f = make_gaussian_probe(small_grid(), sc.medium.wavelength, 0.06, 0.0)
+    before = f.amplitude.copy()
+    outs = [
+        propagate_medium(f, TWO_PI * 1e4, sc.medium, sc.control, n_slices=50),
+        propagate_free(f, 100.0),
+        propagate_free(f, 0.0),
+    ]
+    assert np.array_equal(f.amplitude, before)
+    for out in outs:
+        assert not np.shares_memory(out.amplitude, f.amplitude)
+
+
+def test_split_step_matches_out_of_place_reference():
+    # The in-place loop must give the bits of the plain one that builds a
+    # new array at every step.
+    sc = default_scene()
+    f = make_gaussian_probe(small_grid(), sc.medium.wavelength, 0.06, 1.0)
+    delta, n = TWO_PI * 1e4, 50
+    out = propagate_medium(f, delta, sc.medium, sc.control, n_slices=n)
+
+    dz = sc.medium.cell_length / n
+    n_x = index_profile(delta, f.grid.xs(), sc.medium, sc.control)
+    screen = np.exp(1j * f.k0 * (n_x - 1.0) * dz)
+    half, full = _free_kernel(f, 0.5 * dz), _free_kernel(f, dz)
+    a = np.fft.ifft(np.fft.fft(f.amplitude) * half)
+    for i in range(n):
+        a = np.fft.ifft(np.fft.fft(a * screen) * (full if i < n - 1 else half))
+    assert np.array_equal(out.amplitude, a)
+    assert out.z == f.z + n * dz
+
+
+def test_split_step_runs_in_double_precision():
+    # A single-precision input field is still propagated in complex128.
+    sc = default_scene()
+    f = make_gaussian_probe(small_grid(), sc.medium.wavelength, 0.06, 1.0)
+    single = replace(f, amplitude=f.amplitude.astype(np.complex64))
+    args = (TWO_PI * 1e4, sc.medium, sc.control)
+    out = propagate_medium(single, *args, n_slices=50)
+    ref = propagate_medium(
+        replace(single, amplitude=single.amplitude.astype(complex)), *args, n_slices=50
+    )
+    assert out.amplitude.dtype == np.complex128
+    assert np.array_equal(out.amplitude, ref.amplitude)
+
+
 def test_medium_beer_lambert_uniform():
     # With the control off the cell is a uniform absorber; transmitted
     # power must follow exp(-2 k0 Im(n) L) to the slice discretization.
@@ -238,6 +296,20 @@ def test_metrics_translation():
     shifted = make_gaussian_probe(g, LAM, waist=0.05, offset=0.3)
     assert centroid(shifted) - centroid(f) == pytest.approx(0.7, abs=1e-8)
     assert beam_width(shifted) == pytest.approx(beam_width(f), rel=1e-9)
+
+
+def test_readout_matches_dot_product_reference():
+    # The readout sums with numpy reductions instead of np.dot; only the
+    # summation order differs, so allow a few hundred float64 ulps.
+    sc = default_scene()
+    probe = make_gaussian_probe(sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset)
+    far = propagate_free(probe, sc.detector_distance)
+    xs = far.grid.xs()
+    w = np.abs(far.amplitude) ** 2
+    mean = np.dot(xs, w) / w.sum()
+    width = 2.0 * math.sqrt(np.dot((xs - mean) ** 2, w) / w.sum())
+    assert centroid(far) == pytest.approx(mean, rel=1e-13)
+    assert beam_width(far) == pytest.approx(width, rel=1e-13)
 
 
 def test_metrics_zero_power():
