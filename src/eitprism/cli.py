@@ -180,8 +180,8 @@ def cmd_trace(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     lines = ["z_cm,x_mm,angle_rad"]
     if traj.paraxial_violation:
         lines.append("# warning: ray left the small-angle regime (|angle| >= 0.5)")
-    for s in traj.states:
-        lines.append(",".join(_fmt(v) for v in (s.z, s.x * 10.0, s.angle)))
+    for z, x, angle in traj.states.tolist():
+        lines.append(",".join(_fmt(v) for v in (z, x * 10.0, angle)))
     _emit(lines, args.out)
 
 

@@ -69,7 +69,8 @@ class RunConfig:
 
 
 _FIELD_ORDER = [f.name for f in fields(RunConfig)]
-_INT_FIELDS = {"grid_points", "n_slices", "ray_steps", "sweep_points"}
+# Postponed annotations make f.type the string "int".
+_INT_FIELDS = {f.name for f in fields(RunConfig) if f.type in (int, "int")}
 
 
 def parse_config(text: str) -> RunConfig:

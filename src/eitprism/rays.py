@@ -9,7 +9,8 @@ evaluated at the current x.  The medium is uniform along z, so the only
 z-dependence enters through the ray's own motion.  Integration is
 classical RK4 with a fixed step; for the step counts used here the global
 error is far below the quantities being compared (see the step-halving
-test).
+test).  A trajectory is one float64 array of shape (n_steps + 1, 3) whose
+rows are (z, x, angle), launch state first.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .medium import ControlField, MediumParams, grad_index, index_gradient
 
 __all__ = [
-    "RayState",
     "Trajectory",
     "integrate_gradient",
     "trace_ray",
@@ -32,25 +34,10 @@ __all__ = [
 PARAXIAL_LIMIT = 0.5
 
 
-@dataclass(frozen=True)
-class RayState:
-    z: float
-    x: float
-    angle: float
-
-
 @dataclass
 class Trajectory:
-    states: list[RayState]
+    states: np.ndarray  # (n_steps + 1, 3) float64: columns z, x, angle
     paraxial_violation: bool
-
-    @property
-    def entry(self) -> RayState:
-        return self.states[0]
-
-    @property
-    def exit(self) -> RayState:
-        return self.states[-1]
 
 
 def integrate_gradient(
@@ -63,7 +50,8 @@ def integrate_gradient(
     """Integrate x'' = gradient(x) over [0, length] with RK4.
 
     ``gradient`` maps transverse position to d(Re n)/dx.  Returns the full
-    trajectory including the launch state; z is strictly increasing.
+    trajectory including the launch state; z is strictly increasing.  The
+    paraxial flag is set when any |angle| reaches PARAXIAL_LIMIT.
     """
     if length <= 0.0:
         raise ValueError("length must be positive")
@@ -72,9 +60,8 @@ def integrate_gradient(
     dz = length / n_steps
     half = 0.5 * dz
     x, v = x0, theta0
-    states = [RayState(0.0, x, v)]
-    violated = abs(v) >= PARAXIAL_LIMIT
-    for i in range(n_steps):
+    xs, vs = [x], [v]
+    for _ in range(n_steps):
         k1v = gradient(x)
         k1x = v
         k2v = gradient(x + half * k1x)
@@ -85,10 +72,10 @@ def integrate_gradient(
         k4x = v + dz * k3v
         x += dz * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         v += dz * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-        if abs(v) >= PARAXIAL_LIMIT:
-            violated = True
-        states.append(RayState((i + 1) * dz, x, v))
-    return Trajectory(states, violated)
+        xs.append(x)
+        vs.append(v)
+    states = np.column_stack((np.arange(n_steps + 1) * dz, xs, vs))
+    return Trajectory(states, bool((np.abs(states[:, 2]) >= PARAXIAL_LIMIT).any()))
 
 
 def trace_ray(
@@ -97,7 +84,7 @@ def trace_ray(
     theta0: float,
     p: MediumParams,
     c: ControlField,
-    n_steps: int = 10_000,
+    n_steps: int,
 ) -> Trajectory:
     """Trace one probe ray through the cell at two-photon detuning ``delta``."""
     if n_steps < 100:
@@ -108,7 +95,7 @@ def trace_ray(
 
 
 def exit_angle(trajectory: Trajectory) -> float:
-    return trajectory.exit.angle
+    return float(trajectory.states[-1, 2])
 
 
 def deflection_estimate(

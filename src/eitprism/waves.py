@@ -106,16 +106,16 @@ class TransverseField:
         return 2.0 * math.pi / self.wavelength
 
 
-def _check_guard(field: TransverseField) -> None:
-    a = np.abs(field.amplitude)
+def _check_guard(amplitude: np.ndarray, z: float) -> None:
+    a = np.abs(amplitude)
     peak = a.max()
     if peak == 0.0:
         return
-    nb = max(1, int(round(GUARD_FRACTION * field.grid.n_points)))
+    nb = max(1, int(round(GUARD_FRACTION * len(a))))
     edge = max(a[:nb].max(), a[-nb:].max())
     if edge >= GUARD_LEVEL * peak:
         raise GuardBandError(
-            f"edge amplitude {edge / peak:.3e} of peak at z={field.z:g} cm; "
+            f"edge amplitude {edge / peak:.3e} of peak at z={z:g} cm; "
             "enlarge the grid span"
         )
 
@@ -140,9 +140,8 @@ def make_gaussian_probe(
     u = (grid.xs() - offset) / waist
     a = np.exp(-u * u).astype(complex)
     a /= math.sqrt(np.sum(np.abs(a) ** 2) * grid.dx)
-    field = TransverseField(grid=grid, wavelength=wavelength, amplitude=a, z=0.0)
-    _check_guard(field)
-    return field
+    _check_guard(a, 0.0)
+    return TransverseField(grid=grid, wavelength=wavelength, amplitude=a, z=0.0)
 
 
 def gaussian_beam_field(
@@ -181,9 +180,9 @@ def propagate_free(field: TransverseField, distance: float) -> TransverseField:
     if distance == 0.0:
         return replace(field, amplitude=field.amplitude.copy())
     a = np.fft.ifft(np.fft.fft(field.amplitude) * _free_kernel(field, distance))
-    out = replace(field, amplitude=a, z=field.z + distance)
-    _check_guard(out)
-    return out
+    z = field.z + distance
+    _check_guard(a, z)
+    return replace(field, amplitude=a, z=z)
 
 
 def propagate_medium(
@@ -191,7 +190,7 @@ def propagate_medium(
     delta: float,
     p: MediumParams,
     c: ControlField,
-    n_slices: int = 200,
+    n_slices: int,
 ) -> TransverseField:
     """Propagate through the vapor cell at two-photon detuning ``delta``.
 
@@ -221,7 +220,7 @@ def propagate_medium(
         a *= full if i < n_slices - 1 else half
         np.fft.ifft(a, out=a)
         z = field.z + (i + 1) * dz
-        _check_guard(TransverseField(field.grid, field.wavelength, a, z))
+        _check_guard(a, z)
     return TransverseField(field.grid, field.wavelength, a, z)
 
 

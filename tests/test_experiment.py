@@ -131,7 +131,7 @@ def test_run_point_low_power():
 
 def test_run_point_guard_band():
     # Strong deflection at the edge of the sweep walks the beam into the
-    # grid guard zone during the flight to the detector.
+    # grid guard zone inside the cell (z ~ 0.11 cm).
     sc = default_scene()
     row = run_point(sc, TWO_PI * 1e7)
     assert "guard_band" in row.flags

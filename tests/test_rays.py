@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from eitprism.medium import ControlField, MediumParams
+from eitprism.medium import ControlField, MediumParams, index_gradient
 from eitprism.rays import (
+    PARAXIAL_LIMIT,
     Trajectory,
     deflection_estimate,
     exit_angle,
@@ -23,7 +25,7 @@ def test_linear_gradient_stub():
     g, x0, theta0, length = 3.7e-4, 0.12, 1.5e-3, 7.5
     traj = integrate_gradient(lambda x: g, x0, theta0, length, 4000)
     assert exit_angle(traj) == pytest.approx(theta0 + g * length, rel=1e-12)
-    assert traj.exit.x == pytest.approx(
+    assert traj.states[-1, 1] == pytest.approx(
         x0 + theta0 * length + 0.5 * g * length**2, rel=1e-12
     )
     assert not traj.paraxial_violation
@@ -35,15 +37,15 @@ def test_harmonic_gradient_stub():
     traj = integrate_gradient(lambda x: -k * k * x, x0, theta0, length, 5000)
     expect_x = x0 * math.cos(k * length) + theta0 / k * math.sin(k * length)
     expect_v = -x0 * k * math.sin(k * length) + theta0 * math.cos(k * length)
-    assert traj.exit.x == pytest.approx(expect_x, rel=1e-9)
+    assert traj.states[-1, 1] == pytest.approx(expect_x, rel=1e-9)
     assert exit_angle(traj) == pytest.approx(expect_v, rel=1e-8)
 
 
 def test_trajectory_shape():
     traj = integrate_gradient(lambda x: 0.0, 0.2, 0.0, 5.0, 250)
-    assert len(traj.states) == 251
-    assert traj.entry.z == 0.0 and traj.entry.x == 0.2 and traj.entry.angle == 0.0
-    zs = [s.z for s in traj.states]
+    assert traj.states.shape == (251, 3) and traj.states.dtype == np.float64
+    assert traj.states[0].tolist() == [0.0, 0.2, 0.0]
+    zs = traj.states[:, 0].tolist()
     assert all(b > a for a, b in zip(zs, zs[1:]))
     steps = [b - a for a, b in zip(zs, zs[1:])]
     assert max(steps) - min(steps) < 1e-12
@@ -71,7 +73,7 @@ def test_vacuum_cell_straight_ray():
     )
     traj = trace_ray(TWO_PI * 1e4, 0.8, 2e-3, empty, sc.control, 1000)
     assert exit_angle(traj) == 2e-3
-    assert traj.exit.x == pytest.approx(0.8 + 2e-3 * empty.cell_length, rel=1e-12)
+    assert traj.states[-1, 1] == pytest.approx(0.8 + 2e-3 * empty.cell_length, rel=1e-12)
 
 
 def test_zero_control_straight_ray():
@@ -79,7 +81,7 @@ def test_zero_control_straight_ray():
     quiet = ControlField(omega_peak=0.0, waist=sc.control.waist)
     traj = trace_ray(TWO_PI * 1e4, 0.8, 0.0, sc.medium, quiet, 1000)
     assert exit_angle(traj) == 0.0
-    assert traj.exit.x == 0.8
+    assert traj.states[-1, 1] == 0.8
 
 
 def test_resonant_ray_nearly_straight():
@@ -117,6 +119,69 @@ def test_reversed_gradient_negates_angle():
     assert minus == -plus
 
 
+def _per_step_rk4(gradient, x0, theta0, length, n_steps):
+    """Reference RK4: one (z, x, angle) row and one flag test per step."""
+    dz = length / n_steps
+    half = 0.5 * dz
+    x, v = x0, theta0
+    rows = [(0.0, x, v)]
+    violated = abs(v) >= PARAXIAL_LIMIT
+    for i in range(n_steps):
+        k1v = gradient(x)
+        k1x = v
+        k2v = gradient(x + half * k1x)
+        k2x = v + half * k1v
+        k3v = gradient(x + half * k2x)
+        k3x = v + half * k2v
+        k4v = gradient(x + dz * k3x)
+        k4x = v + dz * k3v
+        x += dz * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        v += dz * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        if abs(v) >= PARAXIAL_LIMIT:
+            violated = True
+        rows.append(((i + 1) * dz, x, v))
+    return np.array(rows), violated
+
+
+def _assert_bitwise(traj, reference):
+    rows, violated = reference
+    assert traj.states.shape == rows.shape and traj.states.dtype == np.float64
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(traj.states).view(np.uint64), rows.view(np.uint64)
+    )
+    assert traj.paraxial_violation is violated
+
+
+@pytest.mark.parametrize("delta", [TWO_PI * 1e3, -TWO_PI * 4e5, TWO_PI * 4e6])
+def test_trace_matches_per_step_reference_bitwise(delta):
+    sc = default_scene()
+    traj = trace_ray(delta, sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps)
+    reference = _per_step_rk4(
+        index_gradient(delta, sc.medium, sc.control),
+        sc.probe.offset,
+        0.0,
+        sc.medium.cell_length,
+        sc.ray_steps,
+    )
+    _assert_bitwise(traj, reference)
+
+
+@pytest.mark.parametrize(
+    "gradient, x0, theta0, length",
+    [
+        (lambda x: 0.0, 0.0, 0.6, 1.0),
+        (lambda x: 0.3, 0.0, 0.0, 2.0),
+        # angle = sin(z): above the limit mid-cell, back near 0 at the exit
+        (lambda x: -x, -1.0, 0.0, math.pi),
+    ],
+    ids=["steep_launch", "constant_gradient", "rise_and_fall"],
+)
+def test_stub_matches_per_step_reference_bitwise(gradient, x0, theta0, length):
+    traj = integrate_gradient(gradient, x0, theta0, length, 100)
+    _assert_bitwise(traj, _per_step_rk4(gradient, x0, theta0, length, 100))
+    assert traj.paraxial_violation
+
+
 def test_paraxial_flag():
     traj = integrate_gradient(lambda x: 0.0, 0.0, 0.6, 1.0, 100)
     assert traj.paraxial_violation
@@ -152,6 +217,6 @@ def test_estimate_matches_trace_for_small_walk():
     delta = TWO_PI * 1e4
     est = deflection_estimate(delta, sc.probe.offset, sc.medium, sc.control)
     traj = trace_ray(delta, sc.probe.offset, 0.0, sc.medium, sc.control, 4000)
-    walk = abs(traj.exit.x - sc.probe.offset)
+    walk = abs(traj.states[-1, 1] - sc.probe.offset)
     assert walk < sc.control.waist / 10.0
     assert exit_angle(traj) == pytest.approx(est, rel=0.05)
