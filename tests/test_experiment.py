@@ -183,19 +183,73 @@ def test_angular_dispersion_vacuum_is_noise():
 
 
 def test_angular_dispersion_validation():
-    with pytest.raises(ValueError):
-        angular_dispersion(default_scene(), step=0.0)
+    for step in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            angular_dispersion(default_scene(), step=step)
 
 
-def test_spectral_resolution_default_scene():
+def reference_resolution(
+    scene, d_ref=0.0, initial=TWO_PI * 1e3, cap=experiment.RESOLUTION_SEARCH_CAP, rel_tol=1e-3
+):
+    """Plain doubling-plus-bisection: one Rayleigh test per verdict."""
+
+    def resolved(separation):
+        spots = experiment._spots_resolved(scene, d_ref, separation)
+        return None if spots is None else spots[0] >= spots[1]
+
+    lo, hi = 0.0, min(initial, cap)
+    while True:
+        verdict = resolved(hi)
+        if verdict:
+            break
+        if verdict is None or hi >= cap:
+            return math.nan
+        lo, hi = hi, min(2.0 * hi, cap)
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if resolved(mid):
+            hi = mid
+        else:
+            lo = mid
+    return TWO_PI * C_LIGHT / scene.medium.wavelength / hi
+
+
+def test_spectral_resolution_default_scene(monkeypatch):
+    calls = []
+    spots_resolved = experiment._spots_resolved
+
+    def counted(scene, d_ref, separation):
+        calls.append(separation)
+        return spots_resolved(scene, d_ref, separation)
+
+    monkeypatch.setattr(experiment, "_spots_resolved", counted)
     sc = default_scene()
     assert spectral_resolution(sc) == pytest.approx(1.2408347358652248e10, rel=1e-3)
+    assert len(calls) <= 5  # plain bisection makes 16 Rayleigh tests here
 
 
 def test_spectral_resolution_vacuum_unresolvable():
     sc = vacuum_scene(grid=centered_grid(4096, 12.8))
     r = spectral_resolution(sc, initial_separation=TWO_PI * 1e7)
     assert math.isnan(r)
+    assert math.isnan(reference_resolution(sc, initial=TWO_PI * 1e7))
+
+
+@pytest.mark.parametrize(
+    "d_ref, cap, resolvable",
+    [
+        (0.0, TWO_PI * 4e7, True),
+        (0.0, TWO_PI * 31e3, True),
+        (TWO_PI * 1e5, TWO_PI * 4e7, True),
+        (TWO_PI * 1e5, TWO_PI * 31e3, False),  # needs 32-64 kHz there
+    ],
+)
+def test_spectral_resolution_matches_plain_bisection(d_ref, cap, resolvable):
+    sc = dataclasses.replace(default_scene(), grid=centered_grid(4096, 12.8))
+    got = spectral_resolution(sc, d_ref=d_ref, max_separation=cap)
+    want = reference_resolution(sc, d_ref=d_ref, cap=cap)
+    assert math.isfinite(want) == resolvable
+    assert repr(got) == repr(want)
 
 
 def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
@@ -204,7 +258,7 @@ def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
 
     def resolved_from_needed(scene, d_ref, separation):
         probed.append(separation)
-        return separation >= needed
+        return separation / needed, 1.0
 
     monkeypatch.setattr(experiment, "_spots_resolved", resolved_from_needed)
     sc = default_scene()
@@ -215,14 +269,54 @@ def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
 
     probed.clear()
     cap = TWO_PI * 31e3
-    sep = omega / spectral_resolution(sc, max_separation=cap)
-    assert max(probed) == cap
+    r = spectral_resolution(sc, max_separation=cap)
+    assert max(probed) <= cap
+    sep = omega / r
     assert needed * (1 - 1e-12) <= sep <= cap * (1 + 1e-12)
+    probed.clear()
+    assert repr(r) == repr(reference_resolution(sc, cap=cap))
+    assert max(probed) == cap  # the reference doubles up to the cap
 
     with pytest.raises(ValueError):
         spectral_resolution(sc, max_separation=0.0)
     with pytest.raises(ValueError):
         spectral_resolution(sc, initial_separation=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            spectral_resolution(sc, initial_separation=bad)
+        with pytest.raises(ValueError):
+            spectral_resolution(sc, max_separation=bad)
+    for rel_tol in (0.0, -1e-3, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            spectral_resolution(sc, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("initial_hz", [1e3, 8e3, 60e3])
+def test_spectral_resolution_non_monotone_verdict(monkeypatch, initial_hz):
+    # Resolved on [a, b) and again from c up: the search must still stop,
+    # stay under the cap and return a bracket its own tests confirm.
+    a, b, c = TWO_PI * 5e3, TWO_PI * 6e3, TWO_PI * 40e3
+    cap = TWO_PI * 1e5
+    verdicts = {}
+
+    def spots(scene, d_ref, separation):
+        assert separation not in verdicts and len(verdicts) < 100
+        gap = separation / a if separation < b else separation / c
+        verdicts[separation] = gap >= 1.0
+        return gap, 1.0
+
+    monkeypatch.setattr(experiment, "_spots_resolved", spots)
+    sc = default_scene()
+    omega = TWO_PI * C_LIGHT / sc.medium.wavelength
+    rel_tol = 1e-3
+    r = spectral_resolution(
+        sc, initial_separation=TWO_PI * initial_hz, max_separation=cap, rel_tol=rel_tol
+    )
+    assert max(verdicts) <= cap
+    hits = [s for s, ok in verdicts.items() if ok and omega / s == r]
+    assert hits
+    hi = hits[0]
+    assert any(not ok and hi * (1 - rel_tol) <= s < hi for s, ok in verdicts.items())
 
 
 def test_outer_zero_structure():
