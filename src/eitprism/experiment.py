@@ -5,13 +5,14 @@ parameters, the transverse grid and the detector distance.  run_point
 answers, for one two-photon detuning: what is the ray-optics exit angle,
 the wave-optics pointing angle (far-field centroid drift over the flight
 to the detector), the transmitted power fraction, and the far-field spot
-position and size.  Sweeps are built on run_point; the angular-dispersion
-slope and the spectral-resolution search read only the wave quantities,
-so they use its wave half and trace no rays.  The resolution search
-predicts its doubling-plus-bisection path from the linear growth of the
-spot gap and runs Rayleigh tests only at the path's endpoints; for a
-verdict monotone in the separation it returns exactly what plain
-bisection returns.
+position and size.  Its wave half stops the propagation once the field is
+opaque and then reads nothing more.  Sweeps are built on run_point; the
+angular-dispersion slope and the spectral-resolution search read only the
+wave quantities, so they use its wave half and trace no rays.  The
+resolution search predicts its doubling-plus-bisection path from the
+linear growth of the spot gap and runs Rayleigh tests only at the path's
+endpoints; for a verdict monotone in the separation it returns exactly
+what plain bisection returns.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .rays import exit_angle, trace_ray
 from .waves import (
     Grid1D,
     GuardBandError,
-    ZeroPowerError,
     beam_width,
     centroid,
+    is_opaque,
     make_gaussian_probe,
     propagate_free,
     propagate_medium,
@@ -109,8 +110,14 @@ class SweepRow:
 
     ``theta_ray`` comes from the traced ray, ``theta_wave`` from the
     far-field centroid drift (far minus exit, divided by the detector
-    distance).  Wave quantities are NaN when no power survives the cell;
-    the ``flags`` tuple says why a row needs care rather than dropping it.
+    distance).  The ``flags`` tuple says why a row needs care rather than
+    dropping it: "opaque" when the field died inside the cell (wave
+    quantities NaN; ``transmission`` is the power fraction left where the
+    propagation stopped, an upper bound on the cell's), "guard_band" when
+    the field reached the grid edge (wave quantities NaN, and so is
+    ``transmission`` if that happened inside the cell), "low_power" when
+    the transmission is below LOW_POWER_FLOOR, and "paraxial" when the ray
+    left the small-angle regime.
     """
 
     detuning: float
@@ -156,41 +163,32 @@ def run_point(scene: Scene, delta: float) -> SweepRow:
 def _wave_point(scene: Scene, delta: float) -> SweepRow:
     """Wave half of run_point: propagate the probe and read the detector.
     The row's ``theta_ray`` is NaN; no ray is traced."""
-    flags: list[str] = []
     nan = float("nan")
-    theta_wave = far_centroid = far_width = nan
-    trans = nan
+    row = SweepRow(delta, nan, nan, nan, nan, nan, ())
     try:
         probe = make_gaussian_probe(
             scene.grid, scene.medium.wavelength, scene.probe.waist, scene.probe.offset
         )
         out = propagate_medium(
-            probe, delta, scene.medium, scene.control, scene.n_slices
+            probe, delta, scene.medium, scene.control, scene.n_slices, stop_opaque=True
         )
-        trans = transmission(probe, out)
-        if trans == 0.0:
-            raise ZeroPowerError("nothing transmitted")
-        if trans < LOW_POWER_FLOOR:
-            flags.append("low_power")
-        exit_centroid = centroid(out)
-        far = propagate_free(out, scene.detector_distance)
-        far_centroid = centroid(far)
-        far_width = beam_width(far)
-        theta_wave = (far_centroid - exit_centroid) / scene.detector_distance
-    except ZeroPowerError:
-        trans = 0.0
-        flags.append("no_power")
     except GuardBandError:
-        flags.append("guard_band")
-
-    return SweepRow(
-        detuning=delta,
-        theta_ray=nan,
-        theta_wave=theta_wave,
-        transmission=trans,
+        return replace(row, flags=("guard_band",))
+    trans = transmission(probe, out)
+    if is_opaque(probe, out):
+        return replace(row, transmission=trans, flags=("opaque",))
+    low = ("low_power",) if trans < LOW_POWER_FLOOR else ()
+    row = replace(row, transmission=trans, flags=low)
+    try:
+        far = propagate_free(out, scene.detector_distance)
+    except GuardBandError:
+        return replace(row, flags=low + ("guard_band",))
+    far_centroid = centroid(far)
+    return replace(
+        row,
+        theta_wave=(far_centroid - centroid(out)) / scene.detector_distance,
         far_centroid=far_centroid,
-        far_width=far_width,
-        flags=tuple(flags),
+        far_width=beam_width(far),
     )
 
 
@@ -209,6 +207,8 @@ def detuning_sweep(
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    if not (math.isfinite(d_min) and math.isfinite(d_max)):
+        raise ValueError("sweep bounds must be finite")
     if not d_max > d_min:
         raise ValueError("d_max must exceed d_min")
     step = (d_max - d_min) / (n_points - 1)
@@ -234,6 +234,8 @@ def angular_dispersion(
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be positive and finite")
+    if not math.isfinite(d_ref):
+        raise ValueError("d_ref must be finite")
     hi = _wave_point(scene, d_ref + step)
     lo = _wave_point(scene, d_ref - step)
     diff = hi.theta_wave - lo.theta_wave
@@ -316,6 +318,8 @@ def spectral_resolution(
     the separation, a tested unresolved lo and resolved hi prove every
     prediction on the path right, so R is exactly that of plain bisection.
     """
+    if not math.isfinite(d_ref):
+        raise ValueError("d_ref must be finite")
     if not (math.isfinite(initial_separation) and math.isfinite(max_separation)):
         raise ValueError("separations must be finite")
     if initial_separation <= 0.0 or max_separation <= 0.0:

@@ -15,6 +15,7 @@ rows are (z, x, angle), launch state first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,6 +88,8 @@ def trace_ray(
     n_steps: int,
 ) -> Trajectory:
     """Trace one probe ray through the cell at two-photon detuning ``delta``."""
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
     return integrate_gradient(

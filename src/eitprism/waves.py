@@ -15,8 +15,14 @@ The medium is z-uniform so one screen is reused for every slice.
 
 Aliasing is policed rather than hidden: every propagation step checks that
 the outermost 5% of samples on each side stay below 1e-6 of the field's
-peak magnitude and raises GuardBandError otherwise.  Diagnostics on fields
-with zero power raise ZeroPowerError instead of returning garbage.
+current peak magnitude and raises GuardBandError otherwise; a non-finite
+field fails the check.  Diagnostics on fields with zero power raise
+ZeroPowerError instead of returning garbage.
+
+On request propagate_medium stops early, without error, once the field is
+opaque: its peak below OPAQUE_LEVEL of the launch peak, a power fraction
+near 1e-20 and far under the FFT round-off.  That test runs before the
+guard, whose reference peak has by then collapsed too.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
     "gaussian_beam_field",
     "propagate_free",
     "propagate_medium",
+    "is_opaque",
     "power",
     "centroid",
     "beam_width",
@@ -46,6 +53,10 @@ __all__ = [
 
 GUARD_FRACTION = 0.05
 GUARD_LEVEL = 1e-6
+
+# Peak amplitude, relative to the launch peak, below which a field is
+# opaque (see is_opaque).
+OPAQUE_LEVEL = 1e-10
 
 
 class GuardBandError(RuntimeError):
@@ -106,18 +117,24 @@ class TransverseField:
         return 2.0 * math.pi / self.wavelength
 
 
-def _check_guard(amplitude: np.ndarray, z: float) -> None:
+def _check_guard(amplitude: np.ndarray, z: float, floor: float = 0.0) -> bool:
+    """Return True, checking nothing more, when the peak |amplitude| is
+    below ``floor``.  Otherwise raise GuardBandError if the outer
+    GUARD_FRACTION of either side reaches GUARD_LEVEL of the peak, and
+    return False.  A zero field passes; a NaN or infinite peak fails,
+    because the comparison chain is then False."""
     a = np.abs(amplitude)
-    peak = a.max()
-    if peak == 0.0:
-        return
+    peak = float(a.max())
+    if peak < floor:
+        return True
     nb = max(1, int(round(GUARD_FRACTION * len(a))))
-    edge = max(a[:nb].max(), a[-nb:].max())
-    if edge >= GUARD_LEVEL * peak:
+    edge = float(max(a[:nb].max(), a[-nb:].max()))
+    if peak != 0.0 and not edge < GUARD_LEVEL * peak < math.inf:
         raise GuardBandError(
             f"edge amplitude {edge / peak:.3e} of peak at z={z:g} cm; "
             "enlarge the grid span"
         )
+    return False
 
 
 def make_gaussian_probe(
@@ -191,13 +208,21 @@ def propagate_medium(
     p: MediumParams,
     c: ControlField,
     n_slices: int,
+    *,
+    stop_opaque: bool = False,
 ) -> TransverseField:
     """Propagate through the vapor cell at two-photon detuning ``delta``.
 
     Symmetric split-step with ``n_slices`` phase screens over the cell
     length; the index profile does not vary along z, so the screen is
-    computed once.  The guard band is checked after every slice.
+    computed once.  The guard band is checked after every slice.  With
+    ``stop_opaque`` the propagation ends, before that check, after the
+    first slice whose field is opaque (see is_opaque), and returns the
+    field at that plane.  The default runs every slice, because ``profile``
+    prints the exit-plane field even where it is FFT round-off.
     """
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     if n_slices < 50:
         raise ValueError("n_slices must be at least 50")
     if field.wavelength != p.wavelength:
@@ -207,6 +232,7 @@ def propagate_medium(
     screen = np.exp(1j * field.k0 * (n_x - 1.0) * dz)
     half = _free_kernel(field, 0.5 * dz)
     full = _free_kernel(field, dz)
+    floor = OPAQUE_LEVEL * np.abs(field.amplitude).max() if stop_opaque else 0.0
     # The forward FFT allocates the one complex128 buffer that every slice
     # then updates in place (``out=`` needs numpy >= 2.0); the caller's
     # amplitude is never written.
@@ -220,8 +246,18 @@ def propagate_medium(
         a *= full if i < n_slices - 1 else half
         np.fft.ifft(a, out=a)
         z = field.z + (i + 1) * dz
-        _check_guard(a, z)
+        if _check_guard(a, z, floor):
+            break
     return TransverseField(field.grid, field.wavelength, a, z)
+
+
+def is_opaque(launch: TransverseField, field: TransverseField) -> bool:
+    """Whether ``field``'s peak |amplitude| is below OPAQUE_LEVEL of
+    ``launch``'s: the test on which ``propagate_medium(..., stop_opaque=True)``
+    stops.  The medium only absorbs, so the power left in an opaque field
+    bounds the cell's transmission from above."""
+    floor = OPAQUE_LEVEL * np.abs(launch.amplitude).max()
+    return bool(np.abs(field.amplitude).max() < floor)
 
 
 def power(field: TransverseField) -> float:

@@ -138,6 +138,14 @@ def test_criterion_4_deflection_curve_shape():
 
     finite = [r for r in rows if math.isfinite(r.transmission)]
     assert max(finite, key=lambda r: r.transmission) is center
+    # only 0 and +-400 kHz read a wave angle; every other row stopped
+    # opaque inside the cell with at most 1e-19 of the launch power left
+    readable = [i for i, r in enumerate(rows) if math.isfinite(r.theta_wave)]
+    assert readable == [49, 50, 51]
+    for r in rows:
+        if not math.isfinite(r.theta_wave):
+            assert r.flags == ("opaque",) and 0.0 <= r.transmission <= 1e-19
+            assert math.isnan(r.far_centroid) and math.isnan(r.far_width)
 
     # odd-like: signs anti-symmetric over the inner curve; magnitudes
     # negated in the small-deflection regime, where the ray's own walk

@@ -259,6 +259,15 @@ def test_exit_code_guard_band(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trace", "profile"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_exit_code_non_finite_detuning(capsys, command, value):
+    assert main([command, "--detuning-hz", value]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_requires_out():
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])

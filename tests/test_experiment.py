@@ -6,7 +6,16 @@ import math
 import pytest
 
 from eitprism.medium import MediumParams, rabi_at
-from eitprism.waves import centered_grid
+from eitprism.waves import (
+    Grid1D,
+    beam_width,
+    centered_grid,
+    centroid,
+    make_gaussian_probe,
+    propagate_free,
+    propagate_medium,
+    transmission,
+)
 from eitprism import default_scene, experiment
 from eitprism.experiment import (
     C_LIGHT,
@@ -111,14 +120,18 @@ def test_run_point_odd_in_window():
 
 
 def test_run_point_opaque_band():
-    # Deep in the Autler-Townes absorption band nothing reaches the
-    # detector: the row is flagged, wave metrics are NaN, the ray is fine.
+    # Deep in the Autler-Townes absorption band (5 MHz) and at the sweep
+    # edge (10 MHz) the field dies inside the cell: the propagation stops
+    # there, the row is flagged opaque, wave metrics are NaN, the
+    # transmission is the power fraction left at the stop, and the ray is
+    # fine.
     sc = default_scene()
-    row = run_point(sc, TWO_PI * 5e6)
-    assert row.flags == ("no_power",)
-    assert row.transmission == 0.0
-    assert math.isnan(row.theta_wave) and math.isnan(row.far_centroid)
-    assert math.isfinite(row.theta_ray)
+    for hz in (5e6, 1e7):
+        row = run_point(sc, TWO_PI * hz)
+        assert row.flags == ("opaque",)
+        assert 0.0 <= row.transmission <= 1e-19
+        assert math.isnan(row.theta_wave) and math.isnan(row.far_centroid)
+        assert math.isfinite(row.theta_ray)
 
 
 def test_run_point_low_power():
@@ -130,13 +143,73 @@ def test_run_point_low_power():
 
 
 def test_run_point_guard_band():
-    # Strong deflection at the edge of the sweep walks the beam into the
-    # grid guard zone inside the cell (z ~ 0.11 cm).
+    # guard_band means a field well above the opaque floor reached the
+    # grid edge.  (At the stock sweep edge, 10 MHz, the field collapses
+    # inside the cell before that: see test_run_point_opaque_band.)
+    # Inside the cell: a 1024-point window 8.4 probe waists wide, centred
+    # on the probe, which the beam deflected at 400 kHz leaves at
+    # z ~ 1.35 cm with about 1 % of its power.
     sc = default_scene()
-    row = run_point(sc, TWO_PI * 1e7)
-    assert "guard_band" in row.flags
-    assert math.isnan(row.theta_wave)
+    n = 1024
+    dx = 8.4 * sc.probe.waist / n
+    narrow = dataclasses.replace(
+        sc, grid=Grid1D(n, dx, sc.probe.offset - 0.5 * (n - 1) * dx)
+    )
+    row = run_point(narrow, TWO_PI * 4e5)
+    assert row.flags == ("guard_band",)
+    assert math.isnan(row.transmission) and math.isnan(row.theta_wave)
     assert math.isfinite(row.theta_ray)
+    # At the detector: diffraction over 200 m overfills the stock window,
+    # after the full resonant transmission crossed the cell.
+    row = run_point(scene_with_detector(sc, 2e4), 0.0)
+    assert row.flags == ("guard_band",)
+    assert row.transmission == pytest.approx(0.03571318755900532, rel=1e-6)
+    assert math.isnan(row.theta_wave) and math.isnan(row.far_width)
+
+
+def test_row_matches_public_propagation():
+    # A row that stays above the opaque floor carries exactly the bits of
+    # the public propagate_medium plus the readout.
+    sc = dataclasses.replace(default_scene(), grid=centered_grid(4096, 12.8))
+    probe = make_gaussian_probe(
+        sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset
+    )
+    for hz in (1e5, -4e5):
+        delta = TWO_PI * hz
+        out = propagate_medium(probe, delta, sc.medium, sc.control, sc.n_slices)
+        far = propagate_free(out, sc.detector_distance)
+        want = (
+            (centroid(far) - centroid(out)) / sc.detector_distance,
+            transmission(probe, out),
+            centroid(far),
+            beam_width(far),
+        )
+        row = run_point(sc, delta)
+        got = (row.theta_wave, row.transmission, row.far_centroid, row.far_width)
+        assert repr(got) == repr(want)
+        assert row.flags == (() if hz == 1e5 else ("low_power",))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_detunings_rejected(monkeypatch, bad):
+    # Rejected up front: no NaN field is pushed through the slices to come
+    # back as a row with empty flags.
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagated a non-finite detuning")
+
+    monkeypatch.setattr(experiment, "propagate_medium", no_propagation)
+    sc = default_scene()
+    calls = [
+        lambda: run_point(sc, bad),
+        lambda: detuning_sweep(sc, bad, 0.0, 3),
+        lambda: detuning_sweep(sc, 0.0, bad, 3),
+        lambda: detuning_sweep(sc, bad, bad, 3, threads=2),
+        lambda: angular_dispersion(sc, d_ref=bad),
+        lambda: spectral_resolution(sc, d_ref=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_sweep_ordering_and_thread_independence():
@@ -149,11 +222,14 @@ def test_sweep_ordering_and_thread_independence():
     assert repr(rows1) == repr(rows4)  # bit-identical regardless of pool size
     best = max(rows1, key=lambda r: r.transmission)
     assert best.detuning == 0.0
-    # NaN rows too: the guard band trips at +-2 pi x 1e7.  SweepRow == is
-    # False for any row holding a NaN, so only repr can compare them.
+    # NaN rows too: the field turns opaque inside the cell at
+    # +-2 pi x 1e7.  SweepRow == is False for any row holding a NaN, so
+    # only repr can compare them.
     far1 = detuning_sweep(sc, -TWO_PI * 1e7, TWO_PI * 1e7, 3, threads=1)
     far4 = detuning_sweep(sc, -TWO_PI * 1e7, TWO_PI * 1e7, 3, threads=4)
-    assert "guard_band" in far1[-1].flags and math.isnan(far1[-1].theta_wave)
+    for r in (far1[0], far1[-1]):
+        assert r.flags == ("opaque",) and math.isnan(r.theta_wave)
+        assert 0.0 <= r.transmission <= 1e-19
     assert repr(far1) == repr(far4)
 
 

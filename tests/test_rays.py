@@ -61,6 +61,13 @@ def test_integrator_validation():
         trace_ray(0.0, sc.probe.offset, 0.0, sc.medium, sc.control, n_steps=50)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trace_ray_rejects_non_finite_detuning(bad):
+    sc = default_scene()
+    with pytest.raises(ValueError):
+        trace_ray(bad, sc.probe.offset, 0.0, sc.medium, sc.control, n_steps=100)
+
+
 def test_vacuum_cell_straight_ray():
     sc = default_scene()
     empty = MediumParams(

@@ -15,6 +15,7 @@ from eitprism.medium import (
     refractive_index,
 )
 from eitprism.waves import (
+    OPAQUE_LEVEL,
     Grid1D,
     GuardBandError,
     TransverseField,
@@ -24,6 +25,7 @@ from eitprism.waves import (
     centered_grid,
     centroid,
     gaussian_beam_field,
+    is_opaque,
     make_gaussian_probe,
     power,
     propagate_free,
@@ -195,6 +197,54 @@ def test_split_step_runs_in_double_precision():
     )
     assert out.amplitude.dtype == np.complex128
     assert np.array_equal(out.amplitude, ref.amplitude)
+
+
+def test_opaque_stop():
+    # In the absorption band the stop ends the propagation as soon as the
+    # peak falls below OPAQUE_LEVEL of the launch peak; the power left
+    # there bounds the exit power from above.
+    sc = default_scene()
+    f = make_gaussian_probe(
+        centered_grid(4096, 12.8), sc.medium.wavelength, sc.probe.waist, sc.probe.offset
+    )
+    args = (TWO_PI * 5e6, sc.medium, sc.control, 200)
+    whole = propagate_medium(f, *args)
+    stopped = propagate_medium(f, *args, stop_opaque=True)
+    assert whole.z == sc.medium.cell_length and is_opaque(f, whole)
+    assert stopped.z < sc.medium.cell_length and is_opaque(f, stopped)
+    peak0 = np.abs(f.amplitude).max()
+    assert np.abs(stopped.amplitude).max() < OPAQUE_LEVEL * peak0
+    assert 0.0 <= transmission(f, whole) <= transmission(f, stopped) <= 1e-19
+    # A field that stays above the floor crosses the cell untouched.
+    args = (TWO_PI * 1e4, sc.medium, sc.control, 200)
+    kept = propagate_medium(f, *args, stop_opaque=True)
+    assert kept.z == sc.medium.cell_length and not is_opaque(f, kept)
+    assert np.array_equal(kept.amplitude, propagate_medium(f, *args).amplitude)
+
+
+def test_non_finite_detuning_and_field():
+    sc = default_scene()
+    f = make_gaussian_probe(small_grid(), sc.medium.wavelength, 0.06, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for stop in (False, True):
+            with pytest.raises(ValueError):
+                propagate_medium(f, bad, sc.medium, sc.control, 50, stop_opaque=stop)
+    # A non-finite field fails the guard and is never classed opaque,
+    # even though its peak compares False with the opaque floor.
+    for bad in (math.nan, math.inf):
+        a = f.amplitude.copy()
+        a[len(a) // 2] = bad
+        broken = replace(f, amplitude=a)
+        assert not is_opaque(f, broken)
+        with pytest.raises(GuardBandError), np.errstate(invalid="ignore"):
+            propagate_free(broken, 1.0)
+        for stop in (False, True):
+            with pytest.raises(GuardBandError, match=r"z=0\.15 cm"), np.errstate(
+                invalid="ignore"
+            ):
+                propagate_medium(
+                    broken, TWO_PI * 1e4, sc.medium, sc.control, 50, stop_opaque=stop
+                )
 
 
 def test_medium_beer_lambert_uniform():
