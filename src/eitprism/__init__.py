@@ -24,6 +24,7 @@ from .medium import (
 )
 from .rays import Trajectory, deflection_estimate, exit_angle, trace_ray
 from .waves import (
+    AliasingError,
     Grid1D,
     GuardBandError,
     TransverseField,
@@ -31,6 +32,7 @@ from .waves import (
     beam_width,
     centered_grid,
     centroid,
+    far_field_moments,
     gaussian_beam_field,
     make_gaussian_probe,
     power,
@@ -66,6 +68,7 @@ __all__ = [
     "deflection_estimate",
     "exit_angle",
     "trace_ray",
+    "AliasingError",
     "Grid1D",
     "GuardBandError",
     "TransverseField",
@@ -73,6 +76,7 @@ __all__ = [
     "beam_width",
     "centered_grid",
     "centroid",
+    "far_field_moments",
     "gaussian_beam_field",
     "make_gaussian_probe",
     "power",

@@ -43,7 +43,16 @@ from .experiment import (
 )
 from .medium import complex_chi, rabi_at, refractive_index
 from .rays import trace_ray
-from .waves import GuardBandError, ZeroPowerError, make_gaussian_probe, propagate_free, propagate_medium
+from .waves import (
+    OPAQUE_LEVEL,
+    GuardBandError,
+    ZeroPowerError,
+    is_opaque,
+    make_gaussian_probe,
+    propagate_free,
+    propagate_medium,
+    transmission,
+)
 
 
 def _fmt(x: float) -> str:
@@ -155,6 +164,12 @@ def cmd_profile(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
         out_field = propagate_medium(
             probe, TWO_PI * d_hz, scene.medium, scene.control, scene.n_slices
         )
+        if is_opaque(probe, out_field):
+            raise ZeroPowerError(
+                f"cell opaque at {_fmt(d_hz)} Hz: the field fell below "
+                f"{OPAQUE_LEVEL:g} of its launch peak at z={out_field.z:g} cm, "
+                f"{transmission(probe, out_field):.3e} of the launch power left"
+            )
         far = propagate_free(out_field, scene.detector_distance)
         columns.append(np.abs(far.amplitude) ** 2)
         header.append(f"far_{_fmt(d_hz)}")
@@ -216,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_chi)
     p_sweep = sub.add_parser("sweep", help="detuning sweep with summary")
     common(p_sweep, out_required=True)
-    p_sweep.add_argument("--threads", type=int, help="worker threads (default: all cores)")
+    p_sweep.add_argument(
+        "--threads", type=int, help="accepted for compatibility; has no effect"
+    )
     for p in (p_chi, p_sweep):
         p.add_argument("--min-hz", type=float, help="sweep start, Hz")
         p.add_argument("--max-hz", type=float, help="sweep end, Hz")

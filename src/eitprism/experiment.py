@@ -3,36 +3,35 @@
 A Scene bundles the vapor cell, the control beam, the probe launch
 parameters, the transverse grid and the detector distance.  run_point
 answers, for one two-photon detuning: what is the ray-optics exit angle,
-the wave-optics pointing angle (far-field centroid drift over the flight
-to the detector), the transmitted power fraction, and the far-field spot
-position and size.  Its wave half stops the propagation once the field is
-opaque and then reads nothing more.  Sweeps are built on run_point; the
-angular-dispersion slope and the spectral-resolution search read only the
-wave quantities, so they use its wave half and trace no rays.  The
-resolution search predicts its doubling-plus-bisection path from the
-linear growth of the spot gap and runs Rayleigh tests only at the path's
-endpoints; for a verdict monotone in the separation it returns exactly
-what plain bisection returns.
+the wave-optics pointing angle, the transmitted power fraction, and the
+far-field spot position and size.  Its wave half propagates the probe on a
+probe-sized window of the scene grid (same dx, so the same Nyquist angle),
+stops once the field is opaque, and reads the detector spot and the
+pointing angle from the exit field's moments: no field is ever flown to
+the detector, so the grid need not hold the spot there.  Sweeps are
+run_point in a plain loop; the angular-dispersion slope and the
+spectral-resolution search read only the wave quantities, so they use its
+wave half and trace no rays.  The resolution search predicts its
+doubling-plus-bisection path from the linear growth of the spot gap and
+runs Rayleigh tests only at the path's endpoints; for a verdict monotone
+in the separation it returns exactly what plain bisection returns.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .medium import ControlField, MediumParams
 from .rays import exit_angle, trace_ray
 from .waves import (
+    AliasingError,
     Grid1D,
     GuardBandError,
-    beam_width,
-    centroid,
+    far_field_moments,
     is_opaque,
     make_gaussian_probe,
-    propagate_free,
     propagate_medium,
     transmission,
 )
@@ -70,6 +69,11 @@ DISPERSION_NOISE_FLOOR = 1e-12
 # passes the span of the run's own sweep instead.
 RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
 
+# Probe waists a row's window spans at least (see _probe_window): the
+# launch sits 6 waists from either edge, where its amplitude is e^-36, and
+# can walk about 2 waists inside the cell before it reaches the guard zone.
+WINDOW_WAISTS = 12.0
+
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -79,8 +83,10 @@ class ProbeSpec:
     offset: float
 
     def __post_init__(self) -> None:
-        if self.waist <= 0.0:
-            raise ValueError("probe waist must be positive")
+        if not 0.0 < self.waist < math.inf:
+            raise ValueError("probe waist must be positive and finite")
+        if not math.isfinite(self.offset):
+            raise ValueError("probe offset must be finite")
 
 
 @dataclass(frozen=True)
@@ -108,16 +114,17 @@ class Scene:
 class SweepRow:
     """One detuning's worth of measurements.  Angles rad, lengths cm.
 
-    ``theta_ray`` comes from the traced ray, ``theta_wave`` from the
-    far-field centroid drift (far minus exit, divided by the detector
-    distance).  The ``flags`` tuple says why a row needs care rather than
-    dropping it: "opaque" when the field died inside the cell (wave
+    ``theta_ray`` comes from the traced ray, ``theta_wave`` from the exit
+    spectrum, <kx/kz>, which is the far-field centroid drift per unit
+    flight distance.  The ``flags`` tuple says why a row needs care rather
+    than dropping it: "opaque" when the field died inside the cell (wave
     quantities NaN; ``transmission`` is the power fraction left where the
     propagation stopped, an upper bound on the cell's), "guard_band" when
-    the field reached the grid edge (wave quantities NaN, and so is
-    ``transmission`` if that happened inside the cell), "low_power" when
-    the transmission is below LOW_POWER_FLOOR, and "paraxial" when the ray
-    left the small-angle regime.
+    the field reached the edge of its window inside the cell (wave
+    quantities and ``transmission`` NaN), "aliased" when the exit spectrum
+    reached the grid's Nyquist edge (wave quantities NaN, ``transmission``
+    kept), "low_power" when the transmission is below LOW_POWER_FLOOR, and
+    "paraxial" when the ray left the small-angle regime.
     """
 
     detuning: float
@@ -160,18 +167,40 @@ def run_point(scene: Scene, delta: float) -> SweepRow:
     return replace(row, theta_ray=exit_angle(traj), flags=ray_flags + row.flags)
 
 
+def _probe_window(scene: Scene) -> Grid1D:
+    """The part of the scene grid a row propagates on: the scene's dx, the
+    smallest power of two of at least 512 samples that spans WINDOW_WAISTS
+    probe waists (at most the whole grid), placed on whole samples of the
+    scene grid and centred on the probe as far as the grid allows."""
+    g = scene.grid
+    n = 512
+    while n < g.n_points and n * g.dx < WINDOW_WAISTS * scene.probe.waist:
+        n *= 2
+    start = round((scene.probe.offset - g.x0) / g.dx) - n // 2
+    start = min(max(start, 0), g.n_points - n)
+    return Grid1D(n, g.dx, g.x0 + start * g.dx)
+
+
 def _wave_point(scene: Scene, delta: float) -> SweepRow:
-    """Wave half of run_point: propagate the probe and read the detector.
-    The row's ``theta_ray`` is NaN; no ray is traced."""
+    """Wave half of run_point: propagate the probe on its window of the
+    scene grid and read the detector from the exit field's moments.  The
+    row's ``theta_ray`` is NaN; no ray is traced.  A probe that already
+    fails the guard at launch raises GuardBandError (the grid is too
+    narrow for every row)."""
     nan = float("nan")
     row = SweepRow(delta, nan, nan, nan, nan, nan, ())
+    # make_gaussian_probe sees only the window, so the scene grid's own
+    # placement rule, which profile applies too, is checked here.
+    if abs(scene.probe.offset - scene.grid.center) > 0.25 * scene.grid.span:
+        raise ValueError("probe offset outside the central half of the grid")
+    probe = make_gaussian_probe(
+        _probe_window(scene),
+        scene.medium.wavelength,
+        scene.probe.waist,
+        scene.probe.offset,
+    )
     try:
-        probe = make_gaussian_probe(
-            scene.grid, scene.medium.wavelength, scene.probe.waist, scene.probe.offset
-        )
-        out = propagate_medium(
-            probe, delta, scene.medium, scene.control, scene.n_slices, stop_opaque=True
-        )
+        out = propagate_medium(probe, delta, scene.medium, scene.control, scene.n_slices)
     except GuardBandError:
         return replace(row, flags=("guard_band",))
     trans = transmission(probe, out)
@@ -180,15 +209,13 @@ def _wave_point(scene: Scene, delta: float) -> SweepRow:
     low = ("low_power",) if trans < LOW_POWER_FLOOR else ()
     row = replace(row, transmission=trans, flags=low)
     try:
-        far = propagate_free(out, scene.detector_distance)
-    except GuardBandError:
-        return replace(row, flags=low + ("guard_band",))
-    far_centroid = centroid(far)
+        far_centroid, far_width, theta_wave = far_field_moments(
+            out, scene.detector_distance
+        )
+    except AliasingError:
+        return replace(row, flags=low + ("aliased",))
     return replace(
-        row,
-        theta_wave=(far_centroid - centroid(out)) / scene.detector_distance,
-        far_centroid=far_centroid,
-        far_width=beam_width(far),
+        row, theta_wave=theta_wave, far_centroid=far_centroid, far_width=far_width
     )
 
 
@@ -199,11 +226,11 @@ def detuning_sweep(
     n_points: int,
     threads: int | None = None,
 ) -> list[SweepRow]:
-    """run_point over n_points detunings evenly spaced on [d_min, d_max].
+    """run_point over n_points detunings evenly spaced on [d_min, d_max],
+    in detuning order.
 
-    ``threads`` caps the worker pool (default: hardware parallelism).  Each
-    point is computed independently by identical code, so results do not
-    depend on the pool size; rows come back in detuning order.
+    ``threads`` is accepted for compatibility and has no effect: the rows
+    run one after another.  It must be at least 1 when given.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -211,15 +238,10 @@ def detuning_sweep(
         raise ValueError("sweep bounds must be finite")
     if not d_max > d_min:
         raise ValueError("d_max must exceed d_min")
-    step = (d_max - d_min) / (n_points - 1)
-    detunings = [d_min + i * step for i in range(n_points)]
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers < 1:
+    if threads is not None and threads < 1:
         raise ValueError("threads must be at least 1")
-    if workers == 1:
-        return [run_point(scene, d) for d in detunings]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda d: run_point(scene, d), detunings))
+    step = (d_max - d_min) / (n_points - 1)
+    return [run_point(scene, d_min + i * step) for i in range(n_points)]
 
 
 def angular_dispersion(

@@ -16,13 +16,19 @@ The medium is z-uniform so one screen is reused for every slice.
 Aliasing is policed rather than hidden: every propagation step checks that
 the outermost 5% of samples on each side stay below 1e-6 of the field's
 current peak magnitude and raises GuardBandError otherwise; a non-finite
-field fails the check.  Diagnostics on fields with zero power raise
-ZeroPowerError instead of returning garbage.
+field fails the check.  The detector readout checks the spectrum the same
+way at the Nyquist edge and raises AliasingError.  Diagnostics on fields
+with zero power raise ZeroPowerError instead of returning garbage.
 
-On request propagate_medium stops early, without error, once the field is
-opaque: its peak below OPAQUE_LEVEL of the launch peak, a power fraction
-near 1e-20 and far under the FFT round-off.  That test runs before the
-guard, whose reference peak has by then collapsed too.
+propagate_medium stops early, without error, once the field is opaque:
+its peak below OPAQUE_LEVEL of the launch peak, a power fraction near
+1e-20 and far under the FFT round-off.  That test runs before the guard,
+whose reference peak has by then collapsed too.
+
+far_field_moments reads the detector spot without a far-field grid: under
+the exact kernel the centroid moves linearly and the second moment
+quadratically with the flight distance, so the exit field's moments give
+the spot at any distance from one FFT pair.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
     "Grid1D",
     "TransverseField",
     "GuardBandError",
+    "AliasingError",
     "ZeroPowerError",
     "centered_grid",
     "make_gaussian_probe",
@@ -45,6 +52,7 @@ __all__ = [
     "propagate_free",
     "propagate_medium",
     "is_opaque",
+    "far_field_moments",
     "power",
     "centroid",
     "beam_width",
@@ -61,6 +69,10 @@ OPAQUE_LEVEL = 1e-10
 
 class GuardBandError(RuntimeError):
     """Significant field amplitude reached the edge of the grid."""
+
+
+class AliasingError(RuntimeError):
+    """Significant spectral amplitude reached the Nyquist edge of the grid."""
 
 
 class ZeroPowerError(RuntimeError):
@@ -208,18 +220,15 @@ def propagate_medium(
     p: MediumParams,
     c: ControlField,
     n_slices: int,
-    *,
-    stop_opaque: bool = False,
 ) -> TransverseField:
     """Propagate through the vapor cell at two-photon detuning ``delta``.
 
     Symmetric split-step with ``n_slices`` phase screens over the cell
     length; the index profile does not vary along z, so the screen is
-    computed once.  The guard band is checked after every slice.  With
-    ``stop_opaque`` the propagation ends, before that check, after the
-    first slice whose field is opaque (see is_opaque), and returns the
-    field at that plane.  The default runs every slice, because ``profile``
-    prints the exit-plane field even where it is FFT round-off.
+    computed once.  The guard band is checked after every slice.  The
+    propagation ends, before that check, after the first slice whose field
+    is opaque (see is_opaque), and returns the field at that plane, whose
+    ``z`` then lies inside the cell.
     """
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
@@ -232,7 +241,7 @@ def propagate_medium(
     screen = np.exp(1j * field.k0 * (n_x - 1.0) * dz)
     half = _free_kernel(field, 0.5 * dz)
     full = _free_kernel(field, dz)
-    floor = OPAQUE_LEVEL * np.abs(field.amplitude).max() if stop_opaque else 0.0
+    floor = OPAQUE_LEVEL * np.abs(field.amplitude).max()
     # The forward FFT allocates the one complex128 buffer that every slice
     # then updates in place (``out=`` needs numpy >= 2.0); the caller's
     # amplitude is never written.
@@ -253,11 +262,73 @@ def propagate_medium(
 
 def is_opaque(launch: TransverseField, field: TransverseField) -> bool:
     """Whether ``field``'s peak |amplitude| is below OPAQUE_LEVEL of
-    ``launch``'s: the test on which ``propagate_medium(..., stop_opaque=True)``
-    stops.  The medium only absorbs, so the power left in an opaque field
-    bounds the cell's transmission from above."""
+    ``launch``'s: the test on which propagate_medium stops.  The medium
+    only absorbs, so the power left in an opaque field bounds the cell's
+    transmission from above."""
     floor = OPAQUE_LEVEL * np.abs(launch.amplitude).max()
     return bool(np.abs(field.amplitude).max() < floor)
+
+
+def far_field_moments(
+    field: TransverseField, distance: float
+) -> tuple[float, float, float]:
+    """Spot centroid and width (cm) after free flight over ``distance``
+    (cm), and the pointing angle, read from ``field``'s moments.
+
+    Under the exact angular-spectrum kernel the position of a field that
+    flies a distance L is x + L s, with s = kx/kz (Siegman's second-moment
+    law, ISO 11146, which holds for the non-paraxial kernel too).  So the
+    spot centroid is <x> + L <s>, its variance is
+    Var x + 2 L Cov(x, s) + L^2 Var s with Cov(x, s) = Re<(x - <x>) a,
+    (S - <s>) a> / P, where S a = ifft(s fft(a)), and the width is twice
+    its square root, as in beam_width.  The angle is <s>.  Evanescent bins
+    (|kx| >= k0) never reach the detector and are dropped first.  This
+    takes one FFT and one (two-row) inverse FFT at any distance, and the
+    grid only has to hold ``field``, not the spot at the detector.
+
+    Raises AliasingError when the outer GUARD_FRACTION of |kx| reaches
+    GUARD_LEVEL of the peak of the propagating spectrum (on a grid so fine
+    that those bins are evanescent, every angle is representable), and
+    ZeroPowerError when no propagating power is left.
+    """
+    if distance < 0.0:
+        raise ValueError("distance must be non-negative")
+    kx = field.grid.wavenumbers()
+    k0 = field.k0
+    spectrum = np.fft.fft(field.amplitude)
+    spectrum[np.abs(kx) >= k0] = 0.0
+    mag = np.abs(spectrum)
+    peak = float(mag.max())
+    if peak == 0.0:
+        raise ZeroPowerError("no propagating power")
+    edge = float(mag[np.abs(kx) >= (1.0 - GUARD_FRACTION) * np.abs(kx).max()].max())
+    if not edge < GUARD_LEVEL * peak < math.inf:
+        raise AliasingError(
+            f"spectral amplitude {edge / peak:.3e} of peak at the Nyquist edge; "
+            "refine the grid spacing"
+        )
+    kz = np.sqrt(np.maximum(k0 * k0 - kx * kx, 0.0))
+    s = np.divide(kx, kz, out=np.zeros_like(kx), where=kz > 0.0)
+    w = mag * mag
+    total = w.sum()
+    # Reductions rather than np.dot or np.vdot: see centroid.
+    s_mean = np.sum(s * w) / total
+    s_var = np.sum((s - s_mean) ** 2 * w) / total
+    # The propagating part of the field, and (S - <s>) applied to it.
+    a, sa = np.fft.ifft(np.stack([spectrum, (s - s_mean) * spectrum]))
+    intensity = np.abs(a) ** 2
+    p = intensity.sum()
+    xs = field.grid.xs()
+    x_mean = np.sum(xs * intensity) / p
+    xc = xs - x_mean
+    x_var = np.sum(xc * xc * intensity) / p
+    cov = np.sum(np.conj(xc * a) * sa).real / p
+    var = x_var + 2.0 * distance * cov + distance * distance * s_var
+    return (
+        float(x_mean + distance * s_mean),
+        float(2.0 * math.sqrt(var)),
+        float(s_mean),
+    )
 
 
 def power(field: TransverseField) -> float:

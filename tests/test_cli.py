@@ -259,6 +259,32 @@ def test_exit_code_guard_band(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_code_profile_opaque(capsys):
+    # At 5 MHz the stock cell is opaque: profile names the opaque cell
+    # instead of imaging round-off or blaming the grid span.
+    assert main(["profile", "--detuning-hz", "1e5", "--detuning-hz", "5e6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cell opaque at 5000000 Hz" in captured.err
+    assert "z=0.0375 cm" in captured.err and "of the launch power left" in captured.err
+    assert "grid span" not in captured.err
+
+
+def test_exit_code_sweep_probe_fails_guard(tmp_path, capsys):
+    # A grid 8.2 probe waists wide fails the guard at launch: the sweep
+    # stops at its first row.
+    waist_mm = eitprism.RunConfig().probe_waist_mm
+    cfg = write_config(
+        tmp_path,
+        f"grid_points: 512\ngrid_span_mm: {8.2 * waist_mm!r}\n"
+        "probe_offset_mm: 0\nray_steps: 100\n",
+    )
+    out = tmp_path / "narrow.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--points", "3"]) == 3
+    assert "enlarge the grid span" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["trace", "profile"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_exit_code_non_finite_detuning(capsys, command, value):
@@ -266,6 +292,13 @@ def test_exit_code_non_finite_detuning(capsys, command, value):
     captured = capsys.readouterr()
     assert "must be finite" in captured.err
     assert captured.out == ""
+
+
+def test_exit_code_threads_zero(tmp_path, capsys):
+    # --threads has no effect, but it is still validated.
+    out = tmp_path / "t.csv"
+    assert main(["sweep", "--out", str(out), "--threads", "0"]) == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
 
 
 def test_sweep_requires_out():

@@ -3,11 +3,13 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from eitprism.medium import MediumParams, rabi_at
 from eitprism.waves import (
     Grid1D,
+    GuardBandError,
     beam_width,
     centered_grid,
     centroid,
@@ -78,8 +80,9 @@ def test_scene_validation():
         dataclasses.replace(sc, ray_steps=10)
     with pytest.raises(ValueError):
         dataclasses.replace(sc, probe=ProbeSpec(waist=0.06, offset=3.0 * sc.control.waist))
-    with pytest.raises(ValueError):
-        ProbeSpec(waist=0.0, offset=0.0)
+    for waist, offset in ((0.0, 0.0), (math.inf, 0.0), (math.nan, 0.0), (0.06, math.nan)):
+        with pytest.raises(ValueError):
+            ProbeSpec(waist=waist, offset=offset)
 
 
 def test_scene_with_detector():
@@ -144,11 +147,11 @@ def test_run_point_low_power():
 
 def test_run_point_guard_band():
     # guard_band means a field well above the opaque floor reached the
-    # grid edge.  (At the stock sweep edge, 10 MHz, the field collapses
-    # inside the cell before that: see test_run_point_opaque_band.)
-    # Inside the cell: a 1024-point window 8.4 probe waists wide, centred
-    # on the probe, which the beam deflected at 400 kHz leaves at
-    # z ~ 1.35 cm with about 1 % of its power.
+    # edge of the row's grid inside the cell.  (At the stock sweep edge,
+    # 10 MHz, the field collapses inside the cell before that: see
+    # test_run_point_opaque_band.)  Here a 1024-point grid 8.4 probe waists
+    # wide, centred on the probe, which the beam deflected at 400 kHz
+    # leaves at z ~ 1.35 cm with about 1 % of its power.
     sc = default_scene()
     n = 1024
     dx = 8.4 * sc.probe.waist / n
@@ -159,17 +162,106 @@ def test_run_point_guard_band():
     assert row.flags == ("guard_band",)
     assert math.isnan(row.transmission) and math.isnan(row.theta_wave)
     assert math.isfinite(row.theta_ray)
-    # At the detector: diffraction over 200 m overfills the stock window,
-    # after the full resonant transmission crossed the cell.
-    row = run_point(scene_with_detector(sc, 2e4), 0.0)
-    assert row.flags == ("guard_band",)
-    assert row.transmission == pytest.approx(0.03571318755900532, rel=1e-6)
-    assert math.isnan(row.theta_wave) and math.isnan(row.far_width)
+
+
+def test_run_point_far_detector_needs_no_far_grid():
+    # Diffraction over 200 m overfills the stock 12.8 cm grid, but the row
+    # reads the spot from the exit field's moments.  Reference: the exit
+    # field zero-padded onto a 2^17-point grid with the same dx, flown to
+    # the detector with the FFT kernel.
+    sc = scene_with_detector(default_scene(), 2e4)
+    row = run_point(sc, 0.0)
+    assert row.flags == ()
+    probe = make_gaussian_probe(
+        sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset
+    )
+    out = propagate_medium(probe, 0.0, sc.medium, sc.control, sc.n_slices)
+    with pytest.raises(GuardBandError):
+        propagate_free(out, sc.detector_distance)
+    n, pad = 2**17, (2**17 - sc.grid.n_points) // 2
+    wide = Grid1D(n, sc.grid.dx, sc.grid.x0 - pad * sc.grid.dx)
+    amplitude = np.zeros(n, dtype=complex)
+    amplitude[pad : pad + sc.grid.n_points] = out.amplitude
+    far = propagate_free(dataclasses.replace(out, grid=wide, amplitude=amplitude), 2e4)
+    assert row.transmission == pytest.approx(transmission(probe, out), rel=1e-9)
+    assert row.far_centroid == pytest.approx(centroid(far), rel=1e-9, abs=1e-10)
+    assert row.far_width == pytest.approx(beam_width(far), rel=1e-9)
+    assert row.far_width > 0.5 * sc.grid.span
+
+
+def test_row_runs_on_probe_window(monkeypatch):
+    # A row propagates on a power-of-two window of the scene grid that
+    # spans 12 probe waists, at the scene's dx and on its samples, centred
+    # on the probe: 1024 of the stock 16384 points.
+    grids = []
+    real = experiment.propagate_medium
+
+    def recorded(field, *args):
+        grids.append(field.grid)
+        return real(field, *args)
+
+    monkeypatch.setattr(experiment, "propagate_medium", recorded)
+    sc = default_scene()
+    run_point(sc, TWO_PI * 1e5)
+    (g,) = grids
+    assert g.n_points == 1024 and g.dx == sc.grid.dx
+    start = (g.x0 - sc.grid.x0) / sc.grid.dx
+    assert start == pytest.approx(round(start), abs=1e-6)
+    assert abs(g.center - sc.probe.offset) <= sc.grid.dx
+    # Never wider than the scene grid, and clamped inside it.
+    small = dataclasses.replace(sc, grid=centered_grid(512, 12.8))
+    assert experiment._probe_window(small) == small.grid
+    # The probe must still lie in the central half of the scene grid.
+    g = sc.grid
+    off = dataclasses.replace(
+        sc, grid=Grid1D(g.n_points, g.dx, sc.probe.offset - 0.2 * g.span)
+    )
+    with pytest.raises(ValueError, match="central half"):
+        experiment._wave_point(off, 0.0)
+
+
+def test_probe_launch_failing_guard_raises():
+    # A grid too narrow for the launch probe (512 points, 8.2 waists) fails
+    # every row alike, so the sweep stops at its first row instead of
+    # returning a table of guard_band rows.
+    sc = default_scene()
+    n = 512
+    dx = 8.2 * sc.probe.waist / n
+    narrow = dataclasses.replace(
+        sc, grid=Grid1D(n, dx, sc.probe.offset - 0.5 * (n - 1) * dx), ray_steps=100
+    )
+    with pytest.raises(GuardBandError, match="z=0 cm"):
+        detuning_sweep(narrow, -TWO_PI * 1e5, TWO_PI * 1e5, 3)
+    with pytest.raises(GuardBandError):
+        angular_dispersion(narrow)
+
+
+def test_run_point_aliased():
+    # A 4 mm probe on the coarsest grid it accepts (dx = waist / 16) through
+    # a 2 cm cell: at 400 kHz the ray leaves at more than the grid's
+    # Nyquist angle lam / (2 dx) while 0.3 % of the power gets through.
+    # The exit spectrum reaches the Nyquist edge, so the row keeps its
+    # transmission and reads no spot.
+    sc = default_scene()
+    waist = 0.4
+    dx = waist / 16.0
+    coarse = dataclasses.replace(
+        sc,
+        medium=dataclasses.replace(sc.medium, cell_length=2.0),
+        probe=ProbeSpec(waist, sc.probe.offset),
+        grid=centered_grid(1024, 1024 * dx),
+    )
+    row = run_point(coarse, TWO_PI * 4e5)
+    assert row.theta_ray > sc.medium.wavelength / (2.0 * dx)
+    assert row.flags == ("aliased",)
+    assert 1e-3 < row.transmission < 1e-2
+    assert math.isnan(row.theta_wave) and math.isnan(row.far_centroid)
+    assert math.isnan(row.far_width)
 
 
 def test_row_matches_public_propagation():
-    # A row that stays above the opaque floor carries exactly the bits of
-    # the public propagate_medium plus the readout.
+    # A readable row agrees with the public propagate_medium on the whole
+    # grid, the FFT flight to the detector and the intensity readout.
     sc = dataclasses.replace(default_scene(), grid=centered_grid(4096, 12.8))
     probe = make_gaussian_probe(
         sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset
@@ -178,15 +270,12 @@ def test_row_matches_public_propagation():
         delta = TWO_PI * hz
         out = propagate_medium(probe, delta, sc.medium, sc.control, sc.n_slices)
         far = propagate_free(out, sc.detector_distance)
-        want = (
-            (centroid(far) - centroid(out)) / sc.detector_distance,
-            transmission(probe, out),
-            centroid(far),
-            beam_width(far),
-        )
         row = run_point(sc, delta)
-        got = (row.theta_wave, row.transmission, row.far_centroid, row.far_width)
-        assert repr(got) == repr(want)
+        theta = (centroid(far) - centroid(out)) / sc.detector_distance
+        assert row.theta_wave == pytest.approx(theta, rel=1e-9)
+        assert row.transmission == pytest.approx(transmission(probe, out), rel=1e-9)
+        assert row.far_centroid == pytest.approx(centroid(far), rel=1e-9, abs=1e-10)
+        assert row.far_width == pytest.approx(beam_width(far), rel=1e-9)
         assert row.flags == (() if hz == 1e5 else ("low_power",))
 
 

@@ -16,6 +16,7 @@ from eitprism.medium import (
 )
 from eitprism.waves import (
     OPAQUE_LEVEL,
+    AliasingError,
     Grid1D,
     GuardBandError,
     TransverseField,
@@ -24,6 +25,7 @@ from eitprism.waves import (
     beam_width,
     centered_grid,
     centroid,
+    far_field_moments,
     gaussian_beam_field,
     is_opaque,
     make_gaussian_probe,
@@ -200,35 +202,46 @@ def test_split_step_runs_in_double_precision():
 
 
 def test_opaque_stop():
-    # In the absorption band the stop ends the propagation as soon as the
-    # peak falls below OPAQUE_LEVEL of the launch peak; the power left
-    # there bounds the exit power from above.
+    # In the absorption band the propagation ends after the first slice
+    # whose peak falls below OPAQUE_LEVEL of the launch peak, inside the
+    # cell, with the bits the plain split-step has there; the power left
+    # bounds the exit power from above.
     sc = default_scene()
     f = make_gaussian_probe(
         centered_grid(4096, 12.8), sc.medium.wavelength, sc.probe.waist, sc.probe.offset
     )
-    args = (TWO_PI * 5e6, sc.medium, sc.control, 200)
-    whole = propagate_medium(f, *args)
-    stopped = propagate_medium(f, *args, stop_opaque=True)
-    assert whole.z == sc.medium.cell_length and is_opaque(f, whole)
-    assert stopped.z < sc.medium.cell_length and is_opaque(f, stopped)
-    peak0 = np.abs(f.amplitude).max()
-    assert np.abs(stopped.amplitude).max() < OPAQUE_LEVEL * peak0
-    assert 0.0 <= transmission(f, whole) <= transmission(f, stopped) <= 1e-19
-    # A field that stays above the floor crosses the cell untouched.
-    args = (TWO_PI * 1e4, sc.medium, sc.control, 200)
-    kept = propagate_medium(f, *args, stop_opaque=True)
+    delta, n = TWO_PI * 1e6, 200
+    stopped = propagate_medium(f, delta, sc.medium, sc.control, n)
+
+    dz = sc.medium.cell_length / n
+    n_x = index_profile(delta, f.grid.xs(), sc.medium, sc.control)
+    screen = np.exp(1j * f.k0 * (n_x - 1.0) * dz)
+    half, full = _free_kernel(f, 0.5 * dz), _free_kernel(f, dz)
+    floor = OPAQUE_LEVEL * np.abs(f.amplitude).max()
+    a = np.fft.ifft(np.fft.fft(f.amplitude) * half)
+    for i in range(n):
+        a = np.fft.ifft(np.fft.fft(a * screen) * (full if i < n - 1 else half))
+        if np.abs(a).max() < floor:
+            break
+    assert 0 < i < n - 1  # the stop lies inside the cell, after the launch
+    assert stopped.z == f.z + (i + 1) * dz
+    assert np.array_equal(stopped.amplitude, a)
+    assert is_opaque(f, stopped)
+    assert 0.0 <= transmission(f, stopped) <= 1e-19
+    # Deep in the band (5 MHz) the first slice is already opaque.
+    first = propagate_medium(f, TWO_PI * 5e6, sc.medium, sc.control, n)
+    assert first.z == f.z + dz and is_opaque(f, first)
+    # A field that stays above the floor crosses the whole cell.
+    kept = propagate_medium(f, TWO_PI * 1e4, sc.medium, sc.control, n)
     assert kept.z == sc.medium.cell_length and not is_opaque(f, kept)
-    assert np.array_equal(kept.amplitude, propagate_medium(f, *args).amplitude)
 
 
 def test_non_finite_detuning_and_field():
     sc = default_scene()
     f = make_gaussian_probe(small_grid(), sc.medium.wavelength, 0.06, 0.0)
     for bad in (math.nan, math.inf, -math.inf):
-        for stop in (False, True):
-            with pytest.raises(ValueError):
-                propagate_medium(f, bad, sc.medium, sc.control, 50, stop_opaque=stop)
+        with pytest.raises(ValueError):
+            propagate_medium(f, bad, sc.medium, sc.control, 50)
     # A non-finite field fails the guard and is never classed opaque,
     # even though its peak compares False with the opaque floor.
     for bad in (math.nan, math.inf):
@@ -238,27 +251,26 @@ def test_non_finite_detuning_and_field():
         assert not is_opaque(f, broken)
         with pytest.raises(GuardBandError), np.errstate(invalid="ignore"):
             propagate_free(broken, 1.0)
-        for stop in (False, True):
-            with pytest.raises(GuardBandError, match=r"z=0\.15 cm"), np.errstate(
-                invalid="ignore"
-            ):
-                propagate_medium(
-                    broken, TWO_PI * 1e4, sc.medium, sc.control, 50, stop_opaque=stop
-                )
+        with pytest.raises(GuardBandError, match=r"z=0\.15 cm"), np.errstate(
+            invalid="ignore"
+        ):
+            propagate_medium(broken, TWO_PI * 1e4, sc.medium, sc.control, 50)
 
 
 def test_medium_beer_lambert_uniform():
     # With the control off the cell is a uniform absorber; transmitted
     # power must follow exp(-2 k0 Im(n) L) to the slice discretization.
+    # At 200 MHz the expected transmission is about 1e-2.
     sc = default_scene()
     quiet = ControlField(omega_peak=0.0, waist=sc.control.waist)
     g = small_grid()
     f = make_gaussian_probe(g, sc.medium.wavelength, 0.06, 0.0)
-    delta = TWO_PI * 3e6
+    delta = TWO_PI * 2e8
     out = propagate_medium(f, delta, sc.medium, quiet, n_slices=100)
     n = refractive_index(complex_chi(delta, 0.0, sc.medium))
     k0 = TWO_PI / sc.medium.wavelength
     expect = math.exp(-2.0 * k0 * n.imag * sc.medium.cell_length)
+    assert 1e-6 < expect < 0.5
     assert transmission(f, out) == pytest.approx(expect, rel=1e-6)
 
 
@@ -372,3 +384,64 @@ def test_metrics_zero_power():
     f = make_gaussian_probe(g, LAM, waist=0.06, offset=0.0)
     with pytest.raises(ZeroPowerError):
         transmission(dark, f)
+
+
+def test_moments_match_free_flight():
+    # The moment readout against the FFT flight on a grid that holds the
+    # spot, and against the closed-form diffracting Gaussian, for the
+    # stock launch probe and for the same probe tilted by 5 mrad.
+    sc = default_scene()
+    lam, w0, off = sc.medium.wavelength, sc.probe.waist, sc.probe.offset
+    probe = make_gaussian_probe(sc.grid, lam, w0, off)
+    tilted = replace(
+        probe, amplitude=probe.amplitude * np.exp(1j * probe.k0 * 5e-3 * sc.grid.xs())
+    )
+    for f, s_expect in ((probe, 0.0), (tilted, 5e-3 / math.sqrt(1.0 - 25e-6))):
+        for dist in (0.0, 30.0, sc.detector_distance):
+            got_c, got_w, theta = far_field_moments(f, dist)
+            far = propagate_free(f, dist)
+            assert got_c == pytest.approx(centroid(far), rel=1e-10, abs=1e-12)
+            assert got_w == pytest.approx(beam_width(far), rel=1e-10)
+            assert theta == pytest.approx(s_expect, rel=1e-6, abs=1e-15)
+            exact = gaussian_beam_field(sc.grid, lam, w0, off, dist)
+            assert got_w == pytest.approx(beam_width(exact), rel=1e-3)
+            assert got_c == pytest.approx(centroid(exact) + dist * s_expect, rel=1e-3)
+    with pytest.raises(ValueError):
+        far_field_moments(probe, -1.0)
+    dark = TransverseField(sc.grid, lam, np.zeros(sc.grid.n_points, dtype=complex))
+    with pytest.raises(ZeroPowerError):
+        far_field_moments(dark, 1.0)
+
+
+def test_moments_drop_evanescent_bins():
+    # On a grid finer than half a wavelength the bins with |kx| >= k0 never
+    # reach the detector: adding them to a beam changes no moment.  (They
+    # are kept clear of the Nyquist edge, 2 k0 here, which the spectral
+    # guard polices.)
+    g = Grid1D(1024, LAM / 4.0, -511.5 * LAM / 4.0)
+    f = make_gaussian_probe(g, LAM, waist=20.0 * g.dx, offset=0.0)
+    kx = np.abs(g.wavenumbers())
+    band = (kx >= f.k0) & (kx < 1.5 * f.k0)
+    assert band.any()
+    spectrum = np.fft.fft(f.amplitude)
+    evanescent = np.where(band, 1e-3 * np.abs(spectrum).max(), 0.0)
+    mixed = replace(f, amplitude=np.fft.ifft(spectrum + evanescent))
+    for dist in (0.0, 1.0, 10.0):
+        assert far_field_moments(mixed, dist) == pytest.approx(
+            far_field_moments(f, dist), rel=1e-12, abs=1e-15
+        )
+
+
+def test_moments_spectral_guard():
+    # A beam tilted to 98 % of the grid's Nyquist angle lam / (2 dx) has
+    # spectral amplitude at the Nyquist edge: the readout refuses it.
+    g = small_grid()
+    f = make_gaussian_probe(g, LAM, waist=0.06, offset=0.0)
+    nyquist = LAM / (2.0 * g.dx)
+    for angle, aliased in ((0.5 * nyquist, False), (0.98 * nyquist, True)):
+        tilt = replace(f, amplitude=f.amplitude * np.exp(1j * f.k0 * angle * g.xs()))
+        if aliased:
+            with pytest.raises(AliasingError, match="Nyquist"):
+                far_field_moments(tilt, 100.0)
+        else:
+            assert far_field_moments(tilt, 100.0)[2] == pytest.approx(angle, rel=1e-3)
