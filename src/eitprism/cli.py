@@ -39,16 +39,18 @@ from .experiment import (
     Scene,
     angular_dispersion,
     detuning_sweep,
+    launch_probe,
     spectral_resolution,
 )
 from .medium import complex_chi, rabi_at, refractive_index
 from .rays import trace_ray
 from .waves import (
     OPAQUE_LEVEL,
+    Grid1D,
     GuardBandError,
+    TransverseField,
     ZeroPowerError,
     is_opaque,
-    make_gaussian_probe,
     propagate_free,
     propagate_medium,
     transmission,
@@ -153,12 +155,19 @@ def cmd_sweep(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     _emit(summary, str(out.with_name(out.stem + ".summary.csv")))
 
 
+def _on_grid(field: TransverseField, grid: Grid1D) -> TransverseField:
+    """``field`` zero-padded onto ``grid``, which has the same dx and
+    contains ``field``'s samples.  profile crosses the cell on the probe's
+    window and needs the whole grid only to hold the spot at the detector."""
+    start = round((field.grid.x0 - grid.x0) / grid.dx)
+    pad = (start, grid.n_points - start - field.grid.n_points)
+    return replace(field, grid=grid, amplitude=np.pad(field.amplitude, pad))
+
+
 def cmd_profile(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     detunings_hz = args.detuning_hz if args.detuning_hz else [0.0]
-    probe = make_gaussian_probe(
-        scene.grid, scene.medium.wavelength, scene.probe.waist, scene.probe.offset
-    )
-    columns = [np.abs(probe.amplitude) ** 2]
+    probe = launch_probe(scene)
+    columns = [np.abs(_on_grid(probe, scene.grid).amplitude) ** 2]
     header = ["x_mm", "input_plane"]
     for d_hz in detunings_hz:
         out_field = propagate_medium(
@@ -170,7 +179,7 @@ def cmd_profile(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
                 f"{OPAQUE_LEVEL:g} of its launch peak at z={out_field.z:g} cm, "
                 f"{transmission(probe, out_field):.3e} of the launch power left"
             )
-        far = propagate_free(out_field, scene.detector_distance)
+        far = propagate_free(_on_grid(out_field, scene.grid), scene.detector_distance)
         columns.append(np.abs(far.amplitude) ** 2)
         header.append(f"far_{_fmt(d_hz)}")
     if not args.no_normalize:

@@ -29,6 +29,7 @@ from .waves import (
     AliasingError,
     Grid1D,
     GuardBandError,
+    TransverseField,
     far_field_moments,
     is_opaque,
     make_gaussian_probe,
@@ -42,6 +43,7 @@ __all__ = [
     "SweepRow",
     "estimate_parameters",
     "run_point",
+    "launch_probe",
     "detuning_sweep",
     "angular_dispersion",
     "spectral_resolution",
@@ -100,8 +102,8 @@ class Scene:
     ray_steps: int
 
     def __post_init__(self) -> None:
-        if self.detector_distance <= 0.0:
-            raise ValueError("detector_distance must be positive")
+        if not 0.0 < self.detector_distance < math.inf:
+            raise ValueError("detector_distance must be positive and finite")
         if self.n_slices < 50:
             raise ValueError("n_slices must be at least 50")
         if self.ray_steps < 100:
@@ -181,6 +183,20 @@ def _probe_window(scene: Scene) -> Grid1D:
     return Grid1D(n, g.dx, g.x0 + start * g.dx)
 
 
+def launch_probe(scene: Scene) -> TransverseField:
+    """The scene's probe at the cell entrance, on its window of the scene
+    grid (see _probe_window): the one launch that sweep rows and profile
+    share.  The probe must lie in the central half of the scene grid."""
+    if abs(scene.probe.offset - scene.grid.center) > 0.25 * scene.grid.span:
+        raise ValueError("probe offset outside the central half of the grid")
+    return make_gaussian_probe(
+        _probe_window(scene),
+        scene.medium.wavelength,
+        scene.probe.waist,
+        scene.probe.offset,
+    )
+
+
 def _wave_point(scene: Scene, delta: float) -> SweepRow:
     """Wave half of run_point: propagate the probe on its window of the
     scene grid and read the detector from the exit field's moments.  The
@@ -189,16 +205,7 @@ def _wave_point(scene: Scene, delta: float) -> SweepRow:
     narrow for every row)."""
     nan = float("nan")
     row = SweepRow(delta, nan, nan, nan, nan, nan, ())
-    # make_gaussian_probe sees only the window, so the scene grid's own
-    # placement rule, which profile applies too, is checked here.
-    if abs(scene.probe.offset - scene.grid.center) > 0.25 * scene.grid.span:
-        raise ValueError("probe offset outside the central half of the grid")
-    probe = make_gaussian_probe(
-        _probe_window(scene),
-        scene.medium.wavelength,
-        scene.probe.waist,
-        scene.probe.offset,
-    )
+    probe = launch_probe(scene)
     try:
         out = propagate_medium(probe, delta, scene.medium, scene.control, scene.n_slices)
     except GuardBandError:

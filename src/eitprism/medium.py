@@ -70,14 +70,14 @@ class MediumParams:
     cell_length: float
 
     def __post_init__(self) -> None:
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
-        if self.density < 0.0:
-            raise ValueError("density must be non-negative")
-        if self.gamma_r <= 0.0 or self.gamma <= 0.0 or self.gamma_cb <= 0.0:
-            raise ValueError("decay rates must be positive")
-        if self.cell_length <= 0.0:
-            raise ValueError("cell_length must be positive")
+        if not 0.0 < self.wavelength < math.inf:
+            raise ValueError("wavelength must be positive and finite")
+        if not 0.0 <= self.density < math.inf:
+            raise ValueError("density must be non-negative and finite")
+        if not all(0.0 < r < math.inf for r in (self.gamma_r, self.gamma, self.gamma_cb)):
+            raise ValueError("decay rates must be positive and finite")
+        if not 0.0 < self.cell_length < math.inf:
+            raise ValueError("cell_length must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,12 @@ class ControlField:
     center: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.omega_peak < 0.0:
-            raise ValueError("omega_peak must be non-negative")
-        if self.waist <= 0.0:
-            raise ValueError("waist must be positive")
+        if not 0.0 <= self.omega_peak < math.inf:
+            raise ValueError("omega_peak must be non-negative and finite")
+        if not 0.0 < self.waist < math.inf:
+            raise ValueError("waist must be positive and finite")
+        if not math.isfinite(self.center):
+            raise ValueError("center must be finite")
 
 
 def eta(p: MediumParams) -> float:

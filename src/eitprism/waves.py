@@ -91,8 +91,10 @@ class Grid1D:
         n = self.n_points
         if n < 512 or (n & (n - 1)) != 0:
             raise ValueError("n_points must be a power of two, at least 512")
-        if self.dx <= 0.0:
-            raise ValueError("dx must be positive")
+        if not 0.0 < self.dx < math.inf:
+            raise ValueError("dx must be positive and finite")
+        if not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
 
     @property
     def span(self) -> float:
@@ -204,8 +206,8 @@ def _free_kernel(field: TransverseField, distance: float) -> np.ndarray:
 
 def propagate_free(field: TransverseField, distance: float) -> TransverseField:
     """Propagate through vacuum by ``distance`` (cm, non-negative)."""
-    if distance < 0.0:
-        raise ValueError("distance must be non-negative")
+    if not 0.0 <= distance < math.inf:
+        raise ValueError("distance must be non-negative and finite")
     if distance == 0.0:
         return replace(field, amplitude=field.amplitude.copy())
     a = np.fft.ifft(np.fft.fft(field.amplitude) * _free_kernel(field, distance))
@@ -291,8 +293,8 @@ def far_field_moments(
     that those bins are evanescent, every angle is representable), and
     ZeroPowerError when no propagating power is left.
     """
-    if distance < 0.0:
-        raise ValueError("distance must be non-negative")
+    if not 0.0 <= distance < math.inf:
+        raise ValueError("distance must be non-negative and finite")
     kx = field.grid.wavenumbers()
     k0 = field.k0
     spectrum = np.fft.fft(field.amplitude)

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import eitprism
+from eitprism import cli, default_scene
 from eitprism.cli import main
+from eitprism.config import parse_config, scene_from_config
+from eitprism.waves import (
+    make_gaussian_probe,
+    propagate_free,
+    propagate_medium,
+    transmission,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -172,13 +180,64 @@ def test_profile_raw_integrates_to_transmission(tmp_path, capsys):
     p_far = far.sum() * dx
     assert p_in == pytest.approx(1.0, rel=1e-6)  # unit-power launch
     assert 0.0 < p_far < 1.0
-    from eitprism.config import parse_config, scene_from_config
-    from eitprism.waves import make_gaussian_probe, propagate_medium, transmission
-
     sc = scene_from_config(parse_config((tmp_path / "run.cfg").read_text()))
     probe = make_gaussian_probe(sc.grid, sc.medium.wavelength, sc.probe.waist, 0.0)
     out = propagate_medium(probe, 0.0, sc.medium, sc.control, sc.n_slices)
     assert p_far == pytest.approx(transmission(probe, out), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "body, detunings_hz",
+    [("", (1e5, -1e5)), (PROFILE_KEYS, (0.0, 200.0))],
+    ids=["stock", "profile_keys"],
+)
+def test_profile_matches_full_grid_reference(tmp_path, capsys, body, detunings_hz):
+    # profile crosses the cell on the probe window and only then moves to
+    # the whole grid.  Reference: the probe launched on the whole grid,
+    # propagated through the cell and flown to the detector there.
+    cfg = write_config(tmp_path, body)
+    args = ["profile", "--config", cfg]
+    for hz in detunings_hz:
+        args += ["--detuning-hz", repr(hz)]
+    assert main(args) == 0
+    header, rows = rows_of(capsys.readouterr().out)
+    assert header == ["x_mm", "input_plane"] + [f"far_{hz:.9g}" for hz in detunings_hz]
+    cols = np.array([[float(v) for v in r] for r in rows]).T
+    sc = scene_from_config(parse_config(body))
+    probe = make_gaussian_probe(
+        sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset
+    )
+    ref = [np.abs(probe.amplitude) ** 2]
+    for hz in detunings_hz:
+        out = propagate_medium(probe, TWO_PI * hz, sc.medium, sc.control, sc.n_slices)
+        ref.append(np.abs(propagate_free(out, sc.detector_distance).amplitude) ** 2)
+    np.testing.assert_allclose(cols[0], sc.grid.xs() * 10.0, rtol=1e-8)
+    for col, r in zip(cols[1:], ref):
+        assert np.max(np.abs(col - r / r.max())) <= 1e-9
+
+
+def test_profile_crosses_cell_on_probe_window(monkeypatch, capsys):
+    # The cell is crossed on the sweep rows' probe window, 1024 of the
+    # stock 16384 points; only the flight to the detector uses the whole
+    # grid.
+    grids = {"medium": [], "free": []}
+
+    def recorded(key, real):
+        def call(field, *args):
+            grids[key].append(field.grid)
+            return real(field, *args)
+
+        return call
+
+    monkeypatch.setattr(cli, "propagate_medium", recorded("medium", cli.propagate_medium))
+    monkeypatch.setattr(cli, "propagate_free", recorded("free", cli.propagate_free))
+    assert main(["profile", "--detuning-hz", "1e5"]) == 0
+    _, rows = rows_of(capsys.readouterr().out)
+    sc = default_scene()
+    assert len(rows) == sc.grid.n_points
+    (window,) = grids["medium"]
+    assert window.n_points == 1024 and window.dx == sc.grid.dx
+    assert grids["free"] == [sc.grid]
 
 
 def test_trace_schema_and_vacuum(tmp_path, capsys):

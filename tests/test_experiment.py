@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from eitprism.medium import MediumParams, rabi_at
+from eitprism.medium import ControlField, MediumParams, rabi_at
 from eitprism.waves import (
     Grid1D,
     GuardBandError,
     beam_width,
     centered_grid,
     centroid,
+    far_field_moments,
     make_gaussian_probe,
     propagate_free,
     propagate_medium,
@@ -83,6 +84,47 @@ def test_scene_validation():
     for waist, offset in ((0.0, 0.0), (math.inf, 0.0), (math.nan, 0.0), (0.06, math.nan)):
         with pytest.raises(ValueError):
             ProbeSpec(waist=waist, offset=offset)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: dataclasses.replace(default_scene(), detector_distance=v),
+        lambda v: Grid1D(1024, v, 0.0),
+        lambda v: Grid1D(1024, 1e-3, v),
+        lambda v: centered_grid(1024, v),
+        lambda v: dataclasses.replace(default_scene().medium, wavelength=v),
+        lambda v: dataclasses.replace(default_scene().medium, density=v),
+        lambda v: dataclasses.replace(default_scene().medium, gamma=v),
+        lambda v: dataclasses.replace(default_scene().medium, cell_length=v),
+        lambda v: ControlField(v, 3.6, 0.0),
+        lambda v: ControlField(TWO_PI * 1e7, v, 0.0),
+        lambda v: ControlField(TWO_PI * 1e7, 3.6, v),
+        lambda v: propagate_free(experiment.launch_probe(default_scene()), v),
+        lambda v: far_field_moments(experiment.launch_probe(default_scene()), v),
+    ],
+    ids=[
+        "detector_distance",
+        "grid_dx",
+        "grid_x0",
+        "grid_span",
+        "wavelength",
+        "density",
+        "gamma",
+        "cell_length",
+        "omega_peak",
+        "control_waist",
+        "control_center",
+        "free_distance",
+        "moments_distance",
+    ],
+)
+def test_non_finite_scene_parameters_rejected(build, bad):
+    # A NaN or infinite parameter is an input error, not a NaN row, an
+    # infinite spot or a guard trip that asks for a wider grid.
+    with pytest.raises(ValueError):
+        build(bad)
 
 
 def test_scene_with_detector():
