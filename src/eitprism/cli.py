@@ -10,15 +10,16 @@ every key is optional and defaults to the stock experiment):
     profile  far-field intensity profiles at chosen detunings
     trace    one ray trajectory through the cell
 
-CSV goes to --out (stdout if omitted; sweep requires --out because it
-writes a second summary file next to it).  Floats are printed with 9
-significant digits; line endings are LF.
+The physics of each subcommand lives in the library (medium, rays,
+experiment); this module only parses arguments, maps errors to exit codes
+and formats CSV.  CSV goes to --out (stdout if omitted; sweep requires
+--out because it writes a second summary file next to it).  Floats are
+printed with 9 significant digits; line endings are LF.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from dataclasses import replace
@@ -39,22 +40,12 @@ from .experiment import (
     Scene,
     angular_dispersion,
     detuning_sweep,
-    launch_probe,
+    profile,
     spectral_resolution,
 )
 from .medium import complex_chi, rabi_at, refractive_index
 from .rays import trace_ray
-from .waves import (
-    OPAQUE_LEVEL,
-    Grid1D,
-    GuardBandError,
-    TransverseField,
-    ZeroPowerError,
-    is_opaque,
-    propagate_free,
-    propagate_medium,
-    transmission,
-)
+from .waves import GuardBandError, ZeroPowerError
 
 
 def _fmt(x: float) -> str:
@@ -155,33 +146,11 @@ def cmd_sweep(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     _emit(summary, str(out.with_name(out.stem + ".summary.csv")))
 
 
-def _on_grid(field: TransverseField, grid: Grid1D) -> TransverseField:
-    """``field`` zero-padded onto ``grid``, which has the same dx and
-    contains ``field``'s samples.  profile crosses the cell on the probe's
-    window and needs the whole grid only to hold the spot at the detector."""
-    start = round((field.grid.x0 - grid.x0) / grid.dx)
-    pad = (start, grid.n_points - start - field.grid.n_points)
-    return replace(field, grid=grid, amplitude=np.pad(field.amplitude, pad))
-
-
 def cmd_profile(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     detunings_hz = args.detuning_hz if args.detuning_hz else [0.0]
-    probe = launch_probe(scene)
-    columns = [np.abs(_on_grid(probe, scene.grid).amplitude) ** 2]
-    header = ["x_mm", "input_plane"]
-    for d_hz in detunings_hz:
-        out_field = propagate_medium(
-            probe, TWO_PI * d_hz, scene.medium, scene.control, scene.n_slices
-        )
-        if is_opaque(probe, out_field):
-            raise ZeroPowerError(
-                f"cell opaque at {_fmt(d_hz)} Hz: the field fell below "
-                f"{OPAQUE_LEVEL:g} of its launch peak at z={out_field.z:g} cm, "
-                f"{transmission(probe, out_field):.3e} of the launch power left"
-            )
-        far = propagate_free(_on_grid(out_field, scene.grid), scene.detector_distance)
-        columns.append(np.abs(far.amplitude) ** 2)
-        header.append(f"far_{_fmt(d_hz)}")
+    fields = profile(scene, [TWO_PI * d_hz for d_hz in detunings_hz])
+    columns = [np.abs(f.amplitude) ** 2 for f in fields]
+    header = ["x_mm", "input_plane"] + [f"far_{_fmt(d_hz)}" for d_hz in detunings_hz]
     if not args.no_normalize:
         columns = [c / c.max() if c.max() > 0.0 else c for c in columns]
     xs_mm = scene.grid.xs() * 10.0
@@ -279,13 +248,10 @@ def main(argv: list[str] | None = None) -> int:
             "trace": cmd_trace,
         }[args.command]
         handler(cfg, scene, args)
-    except ValueError as exc:  # includes ConfigError
+    except (ValueError, OSError) as exc:  # ValueError includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GuardBandError, ZeroPowerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0

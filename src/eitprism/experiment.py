@@ -7,11 +7,17 @@ the wave-optics pointing angle, the transmitted power fraction, and the
 far-field spot position and size.  Its wave half propagates the probe on a
 probe-sized window of the scene grid (same dx, so the same Nyquist angle),
 stops once the field is opaque, and reads the detector spot and the
-pointing angle from the exit field's moments: no field is ever flown to
-the detector, so the grid need not hold the spot there.  Sweeps are
-run_point in a plain loop; the angular-dispersion slope and the
-spectral-resolution search read only the wave quantities, so they use its
-wave half and trace no rays.  The resolution search predicts its
+pointing angle from the exit field's moments: a row flies no field to the
+detector, so the grid need not hold the spot there.  A beam that walks
+off its window inside the cell trips the guard there, and the error says
+so instead of asking for a wider grid.  Sweeps are run_point in a plain
+loop; the angular-dispersion slope and the spectral-resolution search
+read only the wave quantities, so they use its wave half and trace no
+rays.  profile makes the images behind ``eitprism profile``: it crosses
+the cell on the same window, copies the exit field onto the scene grid,
+whose only job is then to hold the spot at the detector, and flies it
+there.  Rows and profile share one launch (launch_probe) and one
+crossing (_cross_cell).  The resolution search predicts its
 doubling-plus-bisection path from the linear growth of the spot gap and
 runs Rayleigh tests only at the path's endpoints; for a verdict monotone
 in the separation it returns exactly what plain bisection returns.
@@ -20,19 +26,24 @@ in the separation it returns exactly what plain bisection returns.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .medium import ControlField, MediumParams
 from .rays import exit_angle, trace_ray
 from .waves import (
+    OPAQUE_LEVEL,
     AliasingError,
     Grid1D,
     GuardBandError,
     TransverseField,
+    ZeroPowerError,
     far_field_moments,
     is_opaque,
     make_gaussian_probe,
+    propagate_free,
     propagate_medium,
     transmission,
 )
@@ -44,6 +55,7 @@ __all__ = [
     "estimate_parameters",
     "run_point",
     "launch_probe",
+    "profile",
     "detuning_sweep",
     "angular_dispersion",
     "spectral_resolution",
@@ -75,6 +87,12 @@ RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
 # launch sits 6 waists from either edge, where its amplitude is e^-36, and
 # can walk about 2 waists inside the cell before it reaches the guard zone.
 WINDOW_WAISTS = 12.0
+
+# What a guard trip inside the cell on a window narrower than the scene
+# grid means: a wider grid would not widen the window.
+WALK_LIMIT = (
+    "the beam walked off its probe window, which allows about 2 probe waists of walk"
+)
 
 
 @dataclass(frozen=True)
@@ -169,32 +187,49 @@ def run_point(scene: Scene, delta: float) -> SweepRow:
     return replace(row, theta_ray=exit_angle(traj), flags=ray_flags + row.flags)
 
 
-def _probe_window(scene: Scene) -> Grid1D:
-    """The part of the scene grid a row propagates on: the scene's dx, the
-    smallest power of two of at least 512 samples that spans WINDOW_WAISTS
-    probe waists (at most the whole grid), placed on whole samples of the
-    scene grid and centred on the probe as far as the grid allows."""
+def _probe_window(scene: Scene) -> slice:
+    """The samples of the scene grid that a row propagates on: the smallest
+    power of two of at least 512 that spans WINDOW_WAISTS probe waists (at
+    most the whole grid), centred on the probe as far as the grid allows."""
     g = scene.grid
     n = 512
     while n < g.n_points and n * g.dx < WINDOW_WAISTS * scene.probe.waist:
         n *= 2
     start = round((scene.probe.offset - g.x0) / g.dx) - n // 2
     start = min(max(start, 0), g.n_points - n)
-    return Grid1D(n, g.dx, g.x0 + start * g.dx)
+    return slice(start, start + n)
 
 
 def launch_probe(scene: Scene) -> TransverseField:
     """The scene's probe at the cell entrance, on its window of the scene
-    grid (see _probe_window): the one launch that sweep rows and profile
-    share.  The probe must lie in the central half of the scene grid."""
-    if abs(scene.probe.offset - scene.grid.center) > 0.25 * scene.grid.span:
+    grid (see _probe_window), at the scene's dx and on its samples: the one
+    launch that sweep rows and profile share.  The probe must lie in the
+    central half of the scene grid."""
+    g = scene.grid
+    if abs(scene.probe.offset - g.center) > 0.25 * g.span:
         raise ValueError("probe offset outside the central half of the grid")
+    w = _probe_window(scene)
     return make_gaussian_probe(
-        _probe_window(scene),
+        Grid1D(w.stop - w.start, g.dx, g.x0 + w.start * g.dx),
         scene.medium.wavelength,
         scene.probe.waist,
         scene.probe.offset,
     )
+
+
+def _cross_cell(scene: Scene, probe: TransverseField, delta: float) -> TransverseField:
+    """``probe``, from launch_probe, through the scene's cell at detuning
+    ``delta``: the one crossing that sweep rows and profile share.  A guard
+    trip on a window narrower than the scene grid names the walk limit
+    (WALK_LIMIT) instead of the grid span."""
+    try:
+        return propagate_medium(
+            probe, delta, scene.medium, scene.control, scene.n_slices
+        )
+    except GuardBandError as exc:
+        if probe.grid == scene.grid:
+            raise
+        raise GuardBandError(exc.args[0], WALK_LIMIT) from None
 
 
 def _wave_point(scene: Scene, delta: float) -> SweepRow:
@@ -207,7 +242,7 @@ def _wave_point(scene: Scene, delta: float) -> SweepRow:
     row = SweepRow(delta, nan, nan, nan, nan, nan, ())
     probe = launch_probe(scene)
     try:
-        out = propagate_medium(probe, delta, scene.medium, scene.control, scene.n_slices)
+        out = _cross_cell(scene, probe, delta)
     except GuardBandError:
         return replace(row, flags=("guard_band",))
     trans = transmission(probe, out)
@@ -224,6 +259,35 @@ def _wave_point(scene: Scene, delta: float) -> SweepRow:
     return replace(
         row, theta_wave=theta_wave, far_centroid=far_centroid, far_width=far_width
     )
+
+
+def profile(scene: Scene, deltas: Sequence[float]) -> list[TransverseField]:
+    """The images of ``eitprism profile``: the probe at the cell entrance,
+    then the field at the detector for each detuning in ``deltas``
+    (rad/s), all on the scene grid.  The cell is crossed on the probe's
+    window, as in a sweep row; the launch and exit fields are then
+    zero-padded onto the scene grid, which has to hold only the spot at
+    the detector.  Raises ZeroPowerError naming the first detuning at which
+    the cell is opaque, and GuardBandError on a guard trip in the cell or
+    at the detector."""
+    probe = launch_probe(scene)
+    w = _probe_window(scene)
+    pad = (w.start, scene.grid.n_points - w.stop)
+
+    def on_grid(field: TransverseField) -> TransverseField:
+        return replace(field, grid=scene.grid, amplitude=np.pad(field.amplitude, pad))
+
+    fields = [on_grid(probe)]
+    for delta in deltas:
+        out = _cross_cell(scene, probe, delta)
+        if is_opaque(probe, out):
+            raise ZeroPowerError(
+                f"cell opaque at {delta / TWO_PI:.9g} Hz: the field fell below "
+                f"{OPAQUE_LEVEL:g} of its launch peak at z={out.z:g} cm, "
+                f"{transmission(probe, out):.3e} of the launch power left"
+            )
+        fields.append(propagate_free(on_grid(out), scene.detector_distance))
+    return fields
 
 
 def detuning_sweep(
@@ -375,8 +439,3 @@ def spectral_resolution(
         endpoints = (hi,) if lo is None else (lo, hi)
         untested = [s for s in endpoints if s > 0.0 and s not in tested]
     return float("nan") if lo is None else omega / hi
-
-
-def scene_with_detector(scene: Scene, detector_distance: float) -> Scene:
-    """Same experiment, detector moved to ``detector_distance`` (cm)."""
-    return replace(scene, detector_distance=detector_distance)

@@ -68,7 +68,12 @@ OPAQUE_LEVEL = 1e-10
 
 
 class GuardBandError(RuntimeError):
-    """Significant field amplitude reached the edge of the grid."""
+    """Significant field amplitude reached the edge of the grid.  Raised
+    with two arguments, what was seen and where, then what to change; the
+    message joins them."""
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))
 
 
 class AliasingError(RuntimeError):
@@ -145,8 +150,8 @@ def _check_guard(amplitude: np.ndarray, z: float, floor: float = 0.0) -> bool:
     edge = float(max(a[:nb].max(), a[-nb:].max()))
     if peak != 0.0 and not edge < GUARD_LEVEL * peak < math.inf:
         raise GuardBandError(
-            f"edge amplitude {edge / peak:.3e} of peak at z={z:g} cm; "
-            "enlarge the grid span"
+            f"edge amplitude {edge / peak:.3e} of peak at z={z:g} cm",
+            "enlarge the grid span",
         )
     return False
 

@@ -35,7 +35,6 @@ from eitprism.experiment import (
     detuning_sweep,
     estimate_parameters,
     run_point,
-    scene_with_detector,
     spectral_resolution,
 )
 
@@ -244,8 +243,8 @@ def test_criterion_6_spectral_resolution():
     r_default = spectral_resolution(sc)
     assert 1e10 <= r_default <= 1e13
     # far-field-limited figure: stable under doubling the flight distance
-    r_460 = spectral_resolution(scene_with_detector(sc, 460.0))
-    r_920 = spectral_resolution(scene_with_detector(sc, 920.0))
+    r_460 = spectral_resolution(dataclasses.replace(sc, detector_distance=460.0))
+    r_920 = spectral_resolution(dataclasses.replace(sc, detector_distance=920.0))
     assert r_920 == pytest.approx(r_460, rel=0.10)
     dt = time.perf_counter() - t0
     assert dt < 120.0

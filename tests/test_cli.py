@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import eitprism
-from eitprism import cli, default_scene
+from eitprism import default_scene, experiment
 from eitprism.cli import main
 from eitprism.config import parse_config, scene_from_config
 from eitprism.waves import (
@@ -229,8 +229,12 @@ def test_profile_crosses_cell_on_probe_window(monkeypatch, capsys):
 
         return call
 
-    monkeypatch.setattr(cli, "propagate_medium", recorded("medium", cli.propagate_medium))
-    monkeypatch.setattr(cli, "propagate_free", recorded("free", cli.propagate_free))
+    monkeypatch.setattr(
+        experiment, "propagate_medium", recorded("medium", experiment.propagate_medium)
+    )
+    monkeypatch.setattr(
+        experiment, "propagate_free", recorded("free", experiment.propagate_free)
+    )
     assert main(["profile", "--detuning-hz", "1e5"]) == 0
     _, rows = rows_of(capsys.readouterr().out)
     sc = default_scene()
@@ -327,6 +331,52 @@ def test_exit_code_profile_opaque(capsys):
     assert "cell opaque at 5000000 Hz" in captured.err
     assert "z=0.0375 cm" in captured.err and "of the launch power left" in captured.err
     assert "grid span" not in captured.err
+
+
+# A 15 cm cell at 1e12 cm^-3: at -175 kHz the probe walks further than its
+# window allows and trips the guard at z = 14.7 cm.
+WALK_KEYS = "cell_length_mm: 150\ndensity_cm3: 1e12\n"
+
+
+def test_exit_code_profile_walks_off_window(tmp_path, capsys):
+    # The window's size follows the probe waist, not the grid span, so the
+    # message names the walk limit rather than asking for a wider grid.
+    cfg = write_config(tmp_path, WALK_KEYS)
+    assert main(["profile", "--config", cfg, "--detuning-hz", "-175000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "walked off its probe window" in captured.err
+    assert "about 2 probe waists" in captured.err
+    assert "z=14.7 cm" in captured.err
+    assert "grid span" not in captured.err
+    # The sweep row at that detuning is flagged, not failed.
+    sc = scene_from_config(parse_config(WALK_KEYS))
+    row = experiment._wave_point(sc, TWO_PI * -175e3)
+    assert row.flags == ("guard_band",)
+
+
+def test_exit_code_profile_walks_off_whole_grid(tmp_path, capsys):
+    # The same walk on a grid no wider than the window: the window is the
+    # whole grid, so a wider grid is the remedy.  The scene is shifted so
+    # that the probe sits at x = 0 on the control beam's steep flank.
+    offset_mm = eitprism.RunConfig().probe_offset_mm
+    cfg = write_config(
+        tmp_path,
+        WALK_KEYS + "grid_points: 1024\ngrid_span_mm: 8\nprobe_offset_mm: 0\n"
+        f"control_center_mm: {-offset_mm!r}\n",
+    )
+    assert main(["profile", "--config", cfg, "--detuning-hz", "-175000"]) == 3
+    err = capsys.readouterr().err
+    assert "z=14.7 cm; enlarge the grid span" in err
+    assert "probe window" not in err
+
+
+def test_exit_code_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["trace", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert not out.parent.exists()
 
 
 def test_exit_code_sweep_probe_fails_guard(tmp_path, capsys):

@@ -28,7 +28,6 @@ from eitprism.experiment import (
     detuning_sweep,
     estimate_parameters,
     run_point,
-    scene_with_detector,
     spectral_resolution,
 )
 
@@ -129,7 +128,7 @@ def test_non_finite_scene_parameters_rejected(build, bad):
 
 def test_scene_with_detector():
     sc = default_scene()
-    far = scene_with_detector(sc, 460.0)
+    far = dataclasses.replace(sc, detector_distance=460.0)
     assert far.detector_distance == 460.0
     assert far.medium == sc.medium and far.grid == sc.grid
 
@@ -211,7 +210,7 @@ def test_run_point_far_detector_needs_no_far_grid():
     # reads the spot from the exit field's moments.  Reference: the exit
     # field zero-padded onto a 2^17-point grid with the same dx, flown to
     # the detector with the FFT kernel.
-    sc = scene_with_detector(default_scene(), 2e4)
+    sc = dataclasses.replace(default_scene(), detector_distance=2e4)
     row = run_point(sc, 0.0)
     assert row.flags == ()
     probe = make_gaussian_probe(
@@ -252,7 +251,7 @@ def test_row_runs_on_probe_window(monkeypatch):
     assert abs(g.center - sc.probe.offset) <= sc.grid.dx
     # Never wider than the scene grid, and clamped inside it.
     small = dataclasses.replace(sc, grid=centered_grid(512, 12.8))
-    assert experiment._probe_window(small) == small.grid
+    assert experiment._probe_window(small) == slice(0, small.grid.n_points)
     # The probe must still lie in the central half of the scene grid.
     g = sc.grid
     off = dataclasses.replace(
@@ -433,6 +432,21 @@ def test_spectral_resolution_default_scene(monkeypatch):
     sc = default_scene()
     assert spectral_resolution(sc) == pytest.approx(1.2408347358652248e10, rel=1e-3)
     assert len(calls) <= 5  # plain bisection makes 16 Rayleigh tests here
+
+
+def test_spectral_resolution_gives_up_without_power(monkeypatch):
+    # At 800 kHz both spots of the first Rayleigh test are opaque: the
+    # search gives up there instead of doubling the separation.
+    calls = []
+    spots_resolved = experiment._spots_resolved
+
+    def counted(scene, d_ref, separation):
+        calls.append(separation)
+        return spots_resolved(scene, d_ref, separation)
+
+    monkeypatch.setattr(experiment, "_spots_resolved", counted)
+    assert math.isnan(spectral_resolution(default_scene(), d_ref=TWO_PI * 8e5))
+    assert calls == [TWO_PI * 1e3]
 
 
 def test_spectral_resolution_vacuum_unresolvable():
