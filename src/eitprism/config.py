@@ -157,9 +157,12 @@ def default_scene() -> Scene:
 
 
 def sweep_bounds(cfg: RunConfig) -> tuple[float, float, int]:
-    """Sweep range in rad/s plus point count, validated."""
+    """Sweep range in rad/s plus point count, validated: the CLI's range
+    flags are folded into ``cfg`` after parse_config checked its values."""
     if cfg.sweep_points < 2:
         raise ConfigError("sweep_points must be at least 2")
+    if not (math.isfinite(cfg.sweep_min_hz) and math.isfinite(cfg.sweep_max_hz)):
+        raise ConfigError("sweep_min_hz and sweep_max_hz must be finite")
     if not cfg.sweep_max_hz > cfg.sweep_min_hz:
         raise ConfigError("sweep_max_hz must exceed sweep_min_hz")
     return TWO_PI * cfg.sweep_min_hz, TWO_PI * cfg.sweep_max_hz, cfg.sweep_points

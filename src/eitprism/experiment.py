@@ -8,19 +8,20 @@ far-field spot position and size.  Its wave half propagates the probe on a
 probe-sized window of the scene grid (same dx, so the same Nyquist angle),
 stops once the field is opaque, and reads the detector spot and the
 pointing angle from the exit field's moments: a row flies no field to the
-detector, so the grid need not hold the spot there.  A beam that walks
-off its window inside the cell trips the guard there, and the error says
-so instead of asking for a wider grid.  Sweeps are run_point in a plain
-loop; the angular-dispersion slope and the spectral-resolution search
-read only the wave quantities, so they use its wave half and trace no
-rays.  profile makes the images behind ``eitprism profile``: it crosses
-the cell on the same window, copies the exit field onto the scene grid,
-whose only job is then to hold the spot at the detector, and flies it
-there.  Rows and profile share one launch (launch_probe) and one
-crossing (_cross_cell).  The resolution search predicts its
-doubling-plus-bisection path from the linear growth of the spot gap and
-runs Rayleigh tests only at the path's endpoints; for a verdict monotone
-in the separation it returns exactly what plain bisection returns.
+detector, so the grid need not hold the spot there.  The window cannot
+change an outcome: a crossing that trips the guard on a window narrower
+than the scene grid is run once more on the whole grid, so a beam that
+walks far inside the cell gets the whole grid's result.  Sweeps are
+run_point in a plain loop; the angular-dispersion slope and the
+spectral-resolution search read only the wave quantities, so they use
+its wave half and trace no rays.  profile makes the images behind
+``eitprism profile``: it crosses the cell as a row does, copies the exit
+field onto the scene grid and flies it to the detector.  Rows and
+profile share one launch (launch_probe) and one crossing (_cross_cell).
+The resolution search predicts its doubling-plus-bisection path from the
+linear growth of the spot gap and runs Rayleigh tests only at the path's
+endpoints; for a verdict monotone in the separation it returns exactly
+what plain bisection returns.
 """
 
 from __future__ import annotations
@@ -84,15 +85,10 @@ DISPERSION_NOISE_FLOOR = 1e-12
 RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
 
 # Probe waists a row's window spans at least (see _probe_window): the
-# launch sits 6 waists from either edge, where its amplitude is e^-36, and
-# can walk about 2 waists inside the cell before it reaches the guard zone.
+# launch sits 6 waists from either edge, where its amplitude is e^-36.  A
+# beam that walks more than about 2 waists inside the cell reaches the
+# guard zone and is crossed again on the whole grid (see _cross_cell).
 WINDOW_WAISTS = 12.0
-
-# What a guard trip inside the cell on a window narrower than the scene
-# grid means: a wider grid would not widen the window.
-WALK_LIMIT = (
-    "the beam walked off its probe window, which allows about 2 probe waists of walk"
-)
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ class SweepRow:
     than dropping it: "opaque" when the field died inside the cell (wave
     quantities NaN; ``transmission`` is the power fraction left where the
     propagation stopped, an upper bound on the cell's), "guard_band" when
-    the field reached the edge of its window inside the cell (wave
+    the field reached the edge of the scene grid inside the cell (wave
     quantities and ``transmission`` NaN), "aliased" when the exit spectrum
     reached the grid's Nyquist edge (wave quantities NaN, ``transmission``
     kept), "low_power" when the transmission is below LOW_POWER_FLOOR, and
@@ -217,27 +213,36 @@ def launch_probe(scene: Scene) -> TransverseField:
     )
 
 
+def _on_grid(scene: Scene, field: TransverseField) -> TransverseField:
+    """``field``, sampled on the scene grid or a window of it, zero-padded
+    onto the whole grid at its own sample offset."""
+    g = scene.grid
+    start = round((field.grid.x0 - g.x0) / g.dx)
+    pad = (start, g.n_points - start - field.grid.n_points)
+    return replace(field, grid=g, amplitude=np.pad(field.amplitude, pad))
+
+
 def _cross_cell(scene: Scene, probe: TransverseField, delta: float) -> TransverseField:
     """``probe``, from launch_probe, through the scene's cell at detuning
     ``delta``: the one crossing that sweep rows and profile share.  A guard
-    trip on a window narrower than the scene grid names the walk limit
-    (WALK_LIMIT) instead of the grid span."""
+    trip on a window narrower than the scene grid runs the crossing once
+    more with the probe zero-padded onto the whole grid, so the window
+    never changes an outcome; a trip there raises GuardBandError."""
+    args = (delta, scene.medium, scene.control, scene.n_slices)
     try:
-        return propagate_medium(
-            probe, delta, scene.medium, scene.control, scene.n_slices
-        )
-    except GuardBandError as exc:
+        return propagate_medium(probe, *args)
+    except GuardBandError:
         if probe.grid == scene.grid:
             raise
-        raise GuardBandError(exc.args[0], WALK_LIMIT) from None
+    return propagate_medium(_on_grid(scene, probe), *args)
 
 
 def _wave_point(scene: Scene, delta: float) -> SweepRow:
-    """Wave half of run_point: propagate the probe on its window of the
-    scene grid and read the detector from the exit field's moments.  The
-    row's ``theta_ray`` is NaN; no ray is traced.  A probe that already
-    fails the guard at launch raises GuardBandError (the grid is too
-    narrow for every row)."""
+    """Wave half of run_point: cross the cell on the probe's window of the
+    scene grid (see _cross_cell) and read the detector from the exit
+    field's moments.  The row's ``theta_ray`` is NaN; no ray is traced.  A
+    probe that already fails the guard at launch raises GuardBandError
+    (the grid is too narrow for every row)."""
     nan = float("nan")
     row = SweepRow(delta, nan, nan, nan, nan, nan, ())
     probe = launch_probe(scene)
@@ -264,20 +269,14 @@ def _wave_point(scene: Scene, delta: float) -> SweepRow:
 def profile(scene: Scene, deltas: Sequence[float]) -> list[TransverseField]:
     """The images of ``eitprism profile``: the probe at the cell entrance,
     then the field at the detector for each detuning in ``deltas``
-    (rad/s), all on the scene grid.  The cell is crossed on the probe's
-    window, as in a sweep row; the launch and exit fields are then
-    zero-padded onto the scene grid, which has to hold only the spot at
-    the detector.  Raises ZeroPowerError naming the first detuning at which
-    the cell is opaque, and GuardBandError on a guard trip in the cell or
-    at the detector."""
+    (rad/s), all on the scene grid.  The cell is crossed as in a sweep row
+    (see _cross_cell); the launch and exit fields are then zero-padded
+    onto the scene grid, and the exit field is flown to the detector.
+    Raises ZeroPowerError naming the first detuning at which the cell is
+    opaque, and GuardBandError on a guard trip on the scene grid, in the
+    cell or at the detector."""
     probe = launch_probe(scene)
-    w = _probe_window(scene)
-    pad = (w.start, scene.grid.n_points - w.stop)
-
-    def on_grid(field: TransverseField) -> TransverseField:
-        return replace(field, grid=scene.grid, amplitude=np.pad(field.amplitude, pad))
-
-    fields = [on_grid(probe)]
+    fields = [_on_grid(scene, probe)]
     for delta in deltas:
         out = _cross_cell(scene, probe, delta)
         if is_opaque(probe, out):
@@ -286,7 +285,7 @@ def profile(scene: Scene, deltas: Sequence[float]) -> list[TransverseField]:
                 f"{OPAQUE_LEVEL:g} of its launch peak at z={out.z:g} cm, "
                 f"{transmission(probe, out):.3e} of the launch power left"
             )
-        fields.append(propagate_free(on_grid(out), scene.detector_distance))
+        fields.append(propagate_free(_on_grid(scene, out), scene.detector_distance))
     return fields
 
 

@@ -188,13 +188,19 @@ def test_profile_raw_integrates_to_transmission(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "body, detunings_hz",
-    [("", (1e5, -1e5)), (PROFILE_KEYS, (0.0, 200.0))],
-    ids=["stock", "profile_keys"],
+    [
+        ("", (1e5, -1e5)),
+        (PROFILE_KEYS, (0.0, 200.0)),
+        ("probe_waist_mm: 0.3\ncell_length_mm: 150\n", (-3e5,)),
+    ],
+    ids=["stock", "profile_keys", "walks_off_window"],
 )
 def test_profile_matches_full_grid_reference(tmp_path, capsys, body, detunings_hz):
     # profile crosses the cell on the probe window and only then moves to
-    # the whole grid.  Reference: the probe launched on the whole grid,
-    # propagated through the cell and flown to the detector there.
+    # the whole grid; in the last case the beam walks off its 512-point
+    # window at -300 kHz and the crossing is run again on the whole grid.
+    # Reference: the probe launched on the whole grid, propagated through
+    # the cell and flown to the detector there.
     cfg = write_config(tmp_path, body)
     args = ["profile", "--config", cfg]
     for hz in detunings_hz:
@@ -296,6 +302,14 @@ def test_exit_code_bad_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-hz=inf", "--min-hz=-inf", "--max-hz=nan"])
+def test_exit_code_non_finite_range(capsys, flag):
+    assert main(["chi", "--min-hz", "0", "--max-hz", "1", "--points", "3", flag]) == 2
+    captured = capsys.readouterr()
+    assert "error: sweep_min_hz and sweep_max_hz must be finite" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "body, flags",
     [
@@ -333,32 +347,64 @@ def test_exit_code_profile_opaque(capsys):
     assert "grid span" not in captured.err
 
 
-# A 15 cm cell at 1e12 cm^-3: at -175 kHz the probe walks further than its
-# window allows and trips the guard at z = 14.7 cm.
+# A 15 cm cell at 1e12 cm^-3: at -175 kHz the probe walks off its window
+# and trips the guard there at z = 14.7 cm.
 WALK_KEYS = "cell_length_mm: 150\ndensity_cm3: 1e12\n"
 
 
 def test_exit_code_profile_walks_off_window(tmp_path, capsys):
-    # The window's size follows the probe waist, not the grid span, so the
-    # message names the walk limit rather than asking for a wider grid.
+    # A trip on the window is no outcome: the crossing is run again on the
+    # whole grid, where the cell is opaque at its exit.
     cfg = write_config(tmp_path, WALK_KEYS)
     assert main(["profile", "--config", cfg, "--detuning-hz", "-175000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "walked off its probe window" in captured.err
-    assert "about 2 probe waists" in captured.err
-    assert "z=14.7 cm" in captured.err
-    assert "grid span" not in captured.err
-    # The sweep row at that detuning is flagged, not failed.
+    assert "cell opaque at -175000 Hz" in captured.err
+    assert "z=15 cm" in captured.err
+    assert "probe window" not in captured.err
+    # The sweep row at that detuning gets the whole grid's outcome too.
     sc = scene_from_config(parse_config(WALK_KEYS))
-    row = experiment._wave_point(sc, TWO_PI * -175e3)
-    assert row.flags == ("guard_band",)
+    delta = TWO_PI * -175e3
+    row = experiment._wave_point(sc, delta)
+    assert row.flags == ("opaque",)
+    probe = make_gaussian_probe(
+        sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset
+    )
+    out = propagate_medium(probe, delta, sc.medium, sc.control, sc.n_slices)
+    assert row.transmission == pytest.approx(transmission(probe, out), rel=1e-9)
+
+
+def test_exit_code_profile_walks_off_window_and_grid(tmp_path, capsys, monkeypatch):
+    # The probe sits 3.8 mm left of the centre of a 16 mm grid, on the
+    # control beam's steep flank, and its 1024-point window covers half of
+    # the grid.  The walk trips the guard on the window and then on the
+    # whole grid; the second trip is the one reported.
+    grids = []
+    real = experiment.propagate_medium
+
+    def recorded(field, *args):
+        grids.append(field.grid)
+        return real(field, *args)
+
+    monkeypatch.setattr(experiment, "propagate_medium", recorded)
+    offset_mm = eitprism.RunConfig().probe_offset_mm
+    body = (
+        WALK_KEYS + "grid_points: 2048\ngrid_span_mm: 16\nprobe_offset_mm: -3.8\n"
+        f"control_center_mm: {-3.8 - offset_mm!r}\n"
+    )
+    cfg = write_config(tmp_path, body)
+    assert main(["profile", "--config", cfg, "--detuning-hz", "-175000"]) == 3
+    assert "enlarge the grid span" in capsys.readouterr().err
+    sc = scene_from_config(parse_config(body))
+    assert [g.n_points for g in grids] == [1024, 2048]
+    assert grids[1] == sc.grid
 
 
 def test_exit_code_profile_walks_off_whole_grid(tmp_path, capsys):
-    # The same walk on a grid no wider than the window: the window is the
-    # whole grid, so a wider grid is the remedy.  The scene is shifted so
-    # that the probe sits at x = 0 on the control beam's steep flank.
+    # The same walk on a 1024-point grid, no wider than the probe's window:
+    # the beam leaves the scene grid, so a wider grid is the remedy.  The
+    # scene is shifted so that the probe sits at x = 0 on the control
+    # beam's steep flank.
     offset_mm = eitprism.RunConfig().probe_offset_mm
     cfg = write_config(
         tmp_path,

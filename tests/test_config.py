@@ -121,3 +121,9 @@ def test_sweep_bounds():
         sweep_bounds(parse_config("sweep_min_hz: 10\nsweep_max_hz: -10\n"))
     with pytest.raises(ConfigError):
         sweep_bounds(parse_config("sweep_points: 1\n"))
+    # The CLI folds its range flags in after parsing, so the finiteness
+    # that parse_config enforces is checked again here.
+    for bounds in ({"sweep_max_hz": math.inf}, {"sweep_min_hz": -math.inf},
+                   {"sweep_max_hz": math.nan}, {"sweep_min_hz": math.nan}):
+        with pytest.raises(ConfigError, match="finite"):
+            sweep_bounds(dataclasses.replace(RunConfig(), **bounds))

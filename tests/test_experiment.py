@@ -261,6 +261,37 @@ def test_row_runs_on_probe_window(monkeypatch):
         experiment._wave_point(off, 0.0)
 
 
+def test_row_crosses_whole_grid_after_window_trip(monkeypatch):
+    # A 0.3 mm probe gets a 512-point window.  Through a 15 cm cell at
+    # -300 kHz it walks off that window, and the crossing is run again on
+    # the whole grid, where the row is readable.
+    grids = []
+    real = experiment.propagate_medium
+
+    def recorded(field, *args):
+        grids.append(field.grid)
+        return real(field, *args)
+
+    monkeypatch.setattr(experiment, "propagate_medium", recorded)
+    base = default_scene()
+    sc = dataclasses.replace(
+        base,
+        medium=dataclasses.replace(base.medium, cell_length=15.0),
+        probe=dataclasses.replace(base.probe, waist=0.03),
+    )
+    delta = TWO_PI * -3e5
+    row = experiment._wave_point(sc, delta)
+    assert row.flags == ("low_power",)
+    window, whole = grids
+    assert window.n_points == 512 and window.dx == sc.grid.dx
+    assert whole == sc.grid
+    probe = make_gaussian_probe(
+        sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset
+    )
+    out = real(probe, delta, sc.medium, sc.control, sc.n_slices)
+    assert row.transmission == pytest.approx(transmission(probe, out), rel=1e-9)
+
+
 def test_probe_launch_failing_guard_raises():
     # A grid too narrow for the launch probe (512 points, 8.2 waists) fails
     # every row alike, so the sweep stops at its first row instead of
