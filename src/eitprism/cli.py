@@ -179,9 +179,9 @@ def cmd_trace(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
 
 
 # argparse only recognizes plain decimals as negative positionals, so
-# "--min-hz -1e4" would be parsed as an unknown option.  Widen the matcher
-# to scientific notation.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+\.?\d*([eE][-+]?\d+)?$|^-\.\d+([eE][-+]?\d+)?$")
+# "--min-hz -1e4" or "-inf" would be parsed as an unknown option.  Widen the
+# matcher to scientific notation and the non-finite spellings of float().
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$", re.I)
 
 
 class _Parser(argparse.ArgumentParser):

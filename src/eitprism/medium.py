@@ -27,6 +27,7 @@ ray tracer uses its fixed-detuning form :func:`index_gradient`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -164,10 +165,15 @@ def index_profile(delta: float, x, p: MediumParams, c: ControlField):
 def grad_index(delta: float, x: float, p: MediumParams, c: ControlField) -> float:
     """Analytic transverse gradient of Re n at position x (1/cm).
 
-    Chain rule through n(chi(omega(x))):
-        dn/dchi   = 2*pi / n
-        dchi/domega = -2*omega*chi / D,  D the denominator of chi
-        domega/dx = -2*(x - center)/waist^2 * omega
+    With u = x - center, q = omega(x)**2 = omega_peak**2 * exp(-2*u**2/waist**2),
+    D = q + (gamma - i*delta)*(gamma_cb - i*delta) the denominator of chi and
+    S = eta*gamma_r*(delta + i*gamma_cb) its numerator, chi = S/D and the
+    chain rule through n(chi(q(x))) gives
+        dn/dchi = 2*pi / n,  n = sqrt(1 + 4*pi*S/D)
+        dchi/dq = -S / D**2
+        dq/dx   = -4*u/waist**2 * q
+    whose product is the closed form
+        d(Re n)/dx = (8*pi*u*q / waist**2) * Re[S / (D**2 * sqrt(1 + 4*pi*S/D))].
     Scalar-only; the vectorized cross-check is :func:`grad_index_fd`.
     """
     return index_gradient(delta, p, c)(x)
@@ -178,25 +184,27 @@ def index_gradient(
 ) -> Callable[[float], float]:
     """:func:`grad_index` at fixed ``delta`` as a function of x alone.
 
-    The factors that do not depend on x are computed once, so a ray trace
-    pays only for the x-dependent arithmetic on each of its calls.
+    The factors that do not depend on x are computed once: the numerator
+    S of chi and 4*pi*S, the rate product (gamma - i*delta)*(gamma_cb -
+    i*delta), 8*pi/waist**2, -2/waist**2 and omega_peak**2.  A ray trace
+    then pays on each call for one exp, one complex square root and the
+    x-dependent arithmetic of the closed form in :func:`grad_index`.
     """
     rates = (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
     strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
-    inv_w2 = 1.0 / (c.waist * c.waist)
+    four_pi_strength = FOUR_PI * strength
+    scale = 2.0 * FOUR_PI / (c.waist * c.waist)
+    decay = -2.0 / (c.waist * c.waist)
+    omega_peak2 = c.omega_peak * c.omega_peak
     center = c.center
-    omega_peak = c.omega_peak
-    two_pi = 2.0 * math.pi
-    exp = math.exp
+    exp, sqrt = math.exp, cmath.sqrt
 
     def gradient(x: float) -> float:
         u = x - center
-        om = omega_peak * exp(-u * u * inv_w2)
-        den = om * om + rates
-        chi = strength / den
-        n = (1.0 + FOUR_PI * chi) ** 0.5
-        dom_dx = -2.0 * u * inv_w2 * om
-        return ((two_pi / n) * (-2.0 * om * chi / den) * dom_dx).real
+        q = omega_peak2 * exp(decay * u * u)
+        den = q + rates
+        root = sqrt(1.0 + four_pi_strength / den)
+        return scale * u * q * (strength / (den * den * root)).real
 
     return gradient
 

@@ -145,6 +145,14 @@ def test_criterion_4_deflection_curve_shape():
         if not math.isfinite(r.theta_wave):
             assert r.flags == ("opaque",) and 0.0 <= r.transmission <= 1e-19
             assert math.isnan(r.far_centroid) and math.isnan(r.far_width)
+    # the grid cannot represent a ray angle past its Nyquist angle
+    # lambda/(2 dx); no such row may read a wave angle
+    nyquist = sc.medium.wavelength / (2.0 * sc.grid.dx)
+    steep = [r for r in rows if abs(r.theta_ray) > nyquist]
+    assert len(steep) == 32
+    for r in steep:
+        assert math.isnan(r.theta_wave)
+        assert "opaque" in r.flags or "aliased" in r.flags
 
     # odd-like: signs anti-symmetric over the inner curve; magnitudes
     # negated in the small-deflection regime, where the ray's own walk

@@ -302,9 +302,13 @@ def test_exit_code_bad_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--max-hz=inf", "--min-hz=-inf", "--max-hz=nan"])
+@pytest.mark.parametrize(
+    "flag",
+    ["--max-hz=inf", "--min-hz=-inf", "--max-hz=nan", "--min-hz -inf", "--min-hz -Infinity"],
+)
 def test_exit_code_non_finite_range(capsys, flag):
-    assert main(["chi", "--min-hz", "0", "--max-hz", "1", "--points", "3", flag]) == 2
+    # A separate "-inf" is a value, not an unknown option.
+    assert main(["chi", "--min-hz", "0", "--max-hz", "1", "--points", "3", *flag.split()]) == 2
     captured = capsys.readouterr()
     assert "error: sweep_min_hz and sweep_max_hz must be finite" in captured.err
     assert captured.out == ""
@@ -441,7 +445,7 @@ def test_exit_code_sweep_probe_fails_guard(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["trace", "profile"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-nan", "-INF"])
 def test_exit_code_non_finite_detuning(capsys, command, value):
     assert main([command, "--detuning-hz", value]) == 2
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Susceptibility, refractive index and transverse gradient."""
 
+import cmath
 import math
 
 import numpy as np
@@ -262,8 +263,20 @@ def test_grad_index_against_finite_difference():
 
 
 def grad_index_per_call(delta, x, p, c):
-    """The gradient with every factor recomputed on each call: the
-    reference for the hoisted form, which must match it exactly."""
+    """The closed-form gradient with every factor recomputed on each call,
+    in the hoisted closure's order: the reference it must match exactly."""
+    strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
+    w2 = c.waist * c.waist
+    u = x - c.center
+    q = (c.omega_peak * c.omega_peak) * math.exp(-2.0 / w2 * u * u)
+    den = q + (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
+    root = cmath.sqrt(1.0 + 4.0 * math.pi * strength / den)
+    return 2.0 * (4.0 * math.pi) / w2 * u * q * (strength / (den * den * root)).real
+
+
+def grad_index_chain_rule(delta, x, p, c):
+    """The gradient by the chain rule through n(chi(omega(x))), step by
+    step: an independent reference that rounds differently."""
     u = x - c.center
     inv_w2 = 1.0 / (c.waist * c.waist)
     om = c.omega_peak * math.exp(-u * u * inv_w2)
@@ -274,7 +287,7 @@ def grad_index_per_call(delta, x, p, c):
     return ((2.0 * math.pi / n) * (-2.0 * om * chi / den) * dom_dx).real
 
 
-def test_grad_index_matches_per_call_formula():
+def random_gradient_points():
     rng = np.random.default_rng(11)
     for _ in range(300):
         delta, omega, p = random_point(rng)
@@ -282,7 +295,19 @@ def test_grad_index_matches_per_call_formula():
             omega_peak=omega, waist=10.0 ** rng.uniform(-2.0, 1.0), center=rng.uniform(-1.0, 1.0)
         )
         x = c.center + c.waist * rng.uniform(-3.0, 3.0)
+        yield delta, x, p, c
+
+
+def test_grad_index_matches_per_call_formula():
+    for delta, x, p, c in random_gradient_points():
         assert grad_index(delta, x, p, c) == grad_index_per_call(delta, x, p, c)
+
+
+def test_grad_index_matches_chain_rule_formula():
+    for delta, x, p, c in random_gradient_points():
+        a = grad_index(delta, x, p, c)
+        b = grad_index_chain_rule(delta, x, p, c)
+        assert abs(a - b) <= 1e-13 * abs(b)
 
 
 def test_grad_index_symmetries():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eitprism.medium import ControlField, MediumParams, index_gradient
+from eitprism.medium import ControlField, MediumParams, eta, index_gradient
 from eitprism.rays import (
     PARAXIAL_LIMIT,
     Trajectory,
@@ -171,6 +171,47 @@ def test_trace_matches_per_step_reference_bitwise(delta):
         sc.ray_steps,
     )
     _assert_bitwise(traj, reference)
+
+
+def _chain_rule_gradient(delta, p, c):
+    """The gradient closure as the chain rule through n(chi(omega(x))):
+    an independent kernel that rounds differently from the closed form."""
+    rates = (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
+    strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
+    inv_w2 = 1.0 / (c.waist * c.waist)
+
+    def gradient(x):
+        u = x - c.center
+        om = c.omega_peak * math.exp(-u * u * inv_w2)
+        den = om * om + rates
+        chi = strength / den
+        n = (1.0 + 4.0 * math.pi * chi) ** 0.5
+        dom_dx = -2.0 * u * inv_w2 * om
+        return ((2.0 * math.pi / n) * (-2.0 * om * chi / den) * dom_dx).real
+
+    return gradient
+
+
+@pytest.mark.parametrize(
+    "detuning_hz", [0.0, 1e4, -1e4, 1e5, -1e5, 4e5, -4e5, 4e6, -4e6, 2e7, -2e7]
+)
+def test_trace_matches_chain_rule_kernel(detuning_hz):
+    # The closed-form kernel moves exit angles by round-off only: never a
+    # printed (9 significant digit) angle and never the paraxial flag.
+    sc = default_scene()
+    delta = TWO_PI * detuning_hz
+    traj = trace_ray(delta, sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps)
+    ref = integrate_gradient(
+        _chain_rule_gradient(delta, sc.medium, sc.control),
+        sc.probe.offset,
+        0.0,
+        sc.medium.cell_length,
+        sc.ray_steps,
+    )
+    a, b = exit_angle(traj), exit_angle(ref)
+    assert abs(a - b) <= 1e-13 * abs(b)
+    assert f"{a:.9g}" == f"{b:.9g}"
+    assert traj.paraxial_violation is ref.paraxial_violation
 
 
 @pytest.mark.parametrize(
