@@ -14,7 +14,8 @@ The physics of each subcommand lives in the library (medium, rays,
 experiment); this module only parses arguments, maps errors to exit codes
 and formats CSV.  CSV goes to --out (stdout if omitted; sweep requires
 --out because it writes a second summary file next to it).  Floats are
-printed with 9 significant digits; line endings are LF.
+printed with 9 significant digits, a whole row at a time (see _rows); line
+endings are LF.
 """
 
 from __future__ import annotations
@@ -38,18 +39,24 @@ from .experiment import (
     GLASS_DISPERSION_PER_NM,
     TWO_PI,
     Scene,
+    _resolution_search,
     angular_dispersion,
     detuning_sweep,
     profile,
-    spectral_resolution,
 )
 from .medium import complex_chi, rabi_at, refractive_index
 from .rays import trace_ray
 from .waves import GuardBandError, ZeroPowerError
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+def _rows(*columns) -> list[str]:
+    """One CSV line per row of equal-length float columns.  "%.9g" prints
+    every float, nan, inf and -0 included, as f"{x:.9g}" does."""
+    template = ",".join(["%.9g"] * len(columns))
+    return [
+        template % row
+        for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    ]
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -90,19 +97,7 @@ def cmd_chi(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     chi = complex_chi(TWO_PI * d_hz, omega, scene.medium)
     index = refractive_index(chi)
     lines = ["detuning_hz,re_chi,im_chi,re_n_minus_1,im_n"]
-    for i in range(n):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    d_hz[i],
-                    chi[i].real,
-                    chi[i].imag,
-                    index[i].real - 1.0,
-                    index[i].imag,
-                )
-            )
-        )
+    lines += _rows(d_hz, chi.real, chi.imag, index.real - 1.0, index.imag)
     _emit(lines, args.out)
 
 
@@ -113,8 +108,8 @@ def cmd_sweep(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
         "detuning_hz,theta_ray_rad,theta_wave_rad,transmission,"
         "far_centroid_mm,far_width_mm,flags"
     ]
-    for r in rows:
-        values = (
+    values = [
+        (
             r.detuning / TWO_PI,
             r.theta_ray,
             r.theta_wave,
@@ -122,25 +117,24 @@ def cmd_sweep(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
             r.far_centroid * 10.0,
             r.far_width * 10.0,
         )
-        lines.append(",".join(_fmt(v) for v in values) + "," + ";".join(r.flags))
+        for r in rows
+    ]
+    numbers = _rows(*zip(*values))
+    lines += [f"{line},{';'.join(r.flags)}" for line, r in zip(numbers, rows)]
     _emit(lines, args.out)
 
     slope, noisy = angular_dispersion(scene)
-    resolution = spectral_resolution(scene, max_separation=TWO_PI * (hi_hz - lo_hz))
-    flags = "dispersion_noise" if noisy else ""
+    resolution, cause = _resolution_search(
+        scene, max_separation=TWO_PI * (hi_hz - lo_hz)
+    )
+    flags = ["dispersion_noise"] if noisy else []
+    if cause:
+        flags.append(cause)
+    ratio = abs(slope) / GLASS_DISPERSION_PER_NM
+    (row,) = _rows([slope], [GLASS_DISPERSION_PER_NM], [ratio], [resolution])
     summary = [
         "d_theta_d_lambda_per_nm,glass_reference_per_nm,glass_ratio,resolution,flags",
-        ",".join(
-            _fmt(v)
-            for v in (
-                slope,
-                GLASS_DISPERSION_PER_NM,
-                abs(slope) / GLASS_DISPERSION_PER_NM,
-                resolution,
-            )
-        )
-        + ","
-        + flags,
+        f"{row},{';'.join(flags)}",
     ]
     out = Path(args.out)
     _emit(summary, str(out.with_name(out.stem + ".summary.csv")))
@@ -150,13 +144,11 @@ def cmd_profile(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     detunings_hz = args.detuning_hz if args.detuning_hz else [0.0]
     fields = profile(scene, [TWO_PI * d_hz for d_hz in detunings_hz])
     columns = [np.abs(f.amplitude) ** 2 for f in fields]
-    header = ["x_mm", "input_plane"] + [f"far_{_fmt(d_hz)}" for d_hz in detunings_hz]
     if not args.no_normalize:
-        columns = [c / c.max() if c.max() > 0.0 else c for c in columns]
-    xs_mm = scene.grid.xs() * 10.0
-    lines = [",".join(header)]
-    for i in range(scene.grid.n_points):
-        lines.append(_fmt(xs_mm[i]) + "," + ",".join(_fmt(c[i]) for c in columns))
+        peaks = [c.max() for c in columns]
+        columns = [c / p if p > 0.0 else c for c, p in zip(columns, peaks)]
+    header = ["x_mm", "input_plane"] + ["far_%.9g" % d_hz for d_hz in detunings_hz]
+    lines = [",".join(header)] + _rows(scene.grid.xs() * 10.0, *columns)
     _emit(lines, args.out)
 
 
@@ -173,8 +165,8 @@ def cmd_trace(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     lines = ["z_cm,x_mm,angle_rad"]
     if traj.paraxial_violation:
         lines.append("# warning: ray left the small-angle regime (|angle| >= 0.5)")
-    for z, x, angle in traj.states.tolist():
-        lines.append(",".join(_fmt(v) for v in (z, x * 10.0, angle)))
+    states = traj.states
+    lines += _rows(states[:, 0], states[:, 1] * 10.0, states[:, 2])
     _emit(lines, args.out)
 
 

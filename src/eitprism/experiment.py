@@ -397,7 +397,8 @@ def spectral_resolution(
     ``rel_tol``.  No separation above ``max_separation`` is probed:
     returns NaN (unresolvable) when the spots at ``max_separation`` still
     overlap or the spots run out of transmitted power first.  The CLI
-    passes the span of the run's sweep.
+    passes the span of the run's sweep and flags which of the two it was
+    (see _resolution_search).
 
     The search is run on predicted verdicts and only its endpoints are
     tested.  Each Rayleigh test gives a guess of the crossing,
@@ -410,6 +411,22 @@ def spectral_resolution(
     the separation, a tested unresolved lo and resolved hi prove every
     prediction on the path right, so R is exactly that of plain bisection.
     """
+    return _resolution_search(
+        scene, d_ref, initial_separation, max_separation, rel_tol
+    )[0]
+
+
+def _resolution_search(
+    scene: Scene,
+    d_ref: float = 0.0,
+    initial_separation: float = TWO_PI * 1e3,
+    max_separation: float = RESOLUTION_SEARCH_CAP,
+    rel_tol: float = 1e-3,
+) -> tuple[float, str | None]:
+    """spectral_resolution, plus the reason when R is NaN: "unresolved"
+    when the spots at the last separation tested, ``max_separation``,
+    still overlap, "resolution_no_power" when a Rayleigh test's spots
+    carried no power.  The reason is None when R is finite."""
     if not math.isfinite(d_ref):
         raise ValueError("d_ref must be finite")
     if not (math.isfinite(initial_separation) and math.isfinite(max_separation)):
@@ -437,4 +454,7 @@ def spectral_resolution(
         )
         endpoints = (hi,) if lo is None else (lo, hi)
         untested = [s for s in endpoints if s > 0.0 and s not in tested]
-    return float("nan") if lo is None else omega / hi
+    if lo is None:
+        cause = "unresolved" if tested[hi] is False else "resolution_no_power"
+        return float("nan"), cause
+    return omega / hi, None

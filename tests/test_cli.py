@@ -11,8 +11,9 @@ import pytest
 
 import eitprism
 from eitprism import default_scene, experiment
-from eitprism.cli import main
+from eitprism.cli import _rows, main
 from eitprism.config import parse_config, scene_from_config
+from eitprism.rays import trace_ray
 from eitprism.waves import (
     make_gaussian_probe,
     propagate_free,
@@ -36,6 +37,29 @@ def write_config(tmp_path, body, name="run.cfg"):
 def rows_of(text):
     lines = text.strip("\n").split("\n")
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def per_value_rows(*columns):
+    """CSV lines formatted one number at a time, the way the CLI did
+    before it formatted whole rows: f"{x:.9g}" per value."""
+    return [",".join(f"{v:.9g}" for v in row) for row in zip(*columns)]
+
+
+def test_rows_match_per_value_formatting():
+    edge = [
+        math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+        sys.float_info.max, sys.float_info.min, 0.1, 1.0, -1.0, 1e16, 1e-5,
+        0.1234567895, 123456789.5, -123456789.5, 999999999.5, 9.999999995e-7,
+    ]
+    assert _rows(edge, edge[::-1]) == per_value_rows(edge, edge[::-1])
+    assert _rows(np.array(edge)) == per_value_rows(np.array(edge))
+    # Random bit patterns: every exponent, subnormals, NaN payloads.
+    rng = np.random.default_rng(20071)
+    bits = rng.integers(0, 2**64, size=10_000, dtype=np.uint64).view(np.float64)
+    columns = (bits[:5000], bits[5000:])
+    assert _rows(*columns) == per_value_rows(*columns)
+    lists = [c.tolist() for c in columns]
+    assert _rows(*lists) == per_value_rows(*lists)
 
 
 def test_chi_stdout_schema(capsys):
@@ -109,7 +133,7 @@ def test_sweep_vacuum(tmp_path):
         assert abs(float(r[2])) < 1e-9
         assert float(r[3]) == pytest.approx(1.0, rel=1e-9)
     _, srows = rows_of(out.with_name("vac.summary.csv").read_text(encoding="utf-8"))
-    assert srows[0][4] == "dispersion_noise"
+    assert srows[0][4] == "dispersion_noise;unresolved"
     assert srows[0][3] == "nan"  # no deflection, nothing to resolve
 
 
@@ -122,7 +146,22 @@ def test_sweep_resolution_search_capped_by_run_span(tmp_path):
                  "--min-hz", "-100", "--max-hz", "100", "--threads", "1"]) == 0
     _, srows = rows_of(out.with_name("narrow.summary.csv").read_text(encoding="utf-8"))
     assert srows[0][3] == "nan"
-    assert srows[0][4] == ""  # the dispersion slope is still measured
+    assert srows[0][4] == "unresolved"  # the dispersion slope is still measured
+
+
+def test_sweep_resolution_without_power(tmp_path):
+    # Fast ground-state decoherence closes the transparency window: the
+    # cell is opaque at the reference detuning, so the first Rayleigh
+    # test's spots carry no power and the search gives up there.
+    cfg = write_config(tmp_path, "gamma_cb_hz: 1e6\n" + FAST_KEYS)
+    out = tmp_path / "dark.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--points", "3",
+                 "--min-hz", "-1e4", "--max-hz", "1e4"]) == 0
+    _, rows = rows_of(out.read_text(encoding="utf-8"))
+    assert [r[6] for r in rows] == ["opaque"] * 3
+    _, srows = rows_of(out.with_name("dark.summary.csv").read_text(encoding="utf-8"))
+    assert srows[0][3] == "nan"
+    assert srows[0][4] == "dispersion_noise;resolution_no_power"
 
 
 def test_sweep_offset_sign_flip(tmp_path):
@@ -222,6 +261,23 @@ def test_profile_matches_full_grid_reference(tmp_path, capsys, body, detunings_h
         assert np.max(np.abs(col - r / r.max())) <= 1e-9
 
 
+@pytest.mark.parametrize("raw", [False, True], ids=["normalized", "raw"])
+def test_profile_bytes_match_per_value_formatting(tmp_path, raw):
+    cfg = write_config(tmp_path, FAST_KEYS)
+    out = tmp_path / "profile.csv"
+    args = ["profile", "--config", cfg, "--out", str(out),
+            "--detuning-hz", "1e4", "--detuning-hz", "-2e5"]
+    assert main(args + ["--no-normalize"] * raw) == 0
+    sc = scene_from_config(parse_config(FAST_KEYS))
+    fields = experiment.profile(sc, [TWO_PI * 1e4, TWO_PI * -2e5])
+    columns = [np.abs(f.amplitude) ** 2 for f in fields]
+    if not raw:
+        columns = [c / c.max() for c in columns]
+    lines = ["x_mm,input_plane,far_10000,far_-200000"]
+    lines += per_value_rows(sc.grid.xs() * 10.0, *columns)
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_profile_crosses_cell_on_probe_window(monkeypatch, capsys):
     # The cell is crossed on the sweep rows' probe window, 1024 of the
     # stock 16384 points; only the flight to the detector uses the whole
@@ -260,6 +316,21 @@ def test_trace_schema_and_vacuum(tmp_path, capsys):
     assert zs[0] == 0.0 and zs[-1] == pytest.approx(7.5, rel=1e-9)
     assert len({r[1] for r in rows}) == 1  # straight line through vacuum
     assert {r[2] for r in rows} == {"0"}
+
+
+def test_trace_bytes_match_per_value_formatting(tmp_path):
+    cfg = write_config(tmp_path, FAST_KEYS)
+    out = tmp_path / "trace.csv"
+    assert main(["trace", "--config", cfg, "--out", str(out),
+                 "--detuning-hz", "1e5"]) == 0
+    sc = scene_from_config(parse_config(FAST_KEYS))
+    traj = trace_ray(
+        TWO_PI * 1e5, sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps
+    )
+    lines = ["z_cm,x_mm,angle_rad"]
+    for z, x, angle in traj.states.tolist():
+        lines.append(",".join(f"{v:.9g}" for v in (z, x * 10.0, angle)))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_trace_reversed_detuning_mirrors(tmp_path, capsys):
