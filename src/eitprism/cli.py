@@ -39,10 +39,10 @@ from .experiment import (
     GLASS_DISPERSION_PER_NM,
     TWO_PI,
     Scene,
-    _resolution_search,
     angular_dispersion,
     detuning_sweep,
     profile,
+    spectral_resolution,
 )
 from .medium import complex_chi, rabi_at, refractive_index
 from .rays import trace_ray
@@ -123,13 +123,11 @@ def cmd_sweep(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     lines += [f"{line},{';'.join(r.flags)}" for line, r in zip(numbers, rows)]
     _emit(lines, args.out)
 
-    slope, noisy = angular_dispersion(scene)
-    resolution, cause = _resolution_search(
+    slope, noise = angular_dispersion(scene)
+    resolution, cause = spectral_resolution(
         scene, max_separation=TWO_PI * (hi_hz - lo_hz)
     )
-    flags = ["dispersion_noise"] if noisy else []
-    if cause:
-        flags.append(cause)
+    flags = [f for f in (noise, cause) if f]
     ratio = abs(slope) / GLASS_DISPERSION_PER_NM
     (row,) = _rows([slope], [GLASS_DISPERSION_PER_NM], [ratio], [resolution])
     summary = [

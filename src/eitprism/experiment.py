@@ -244,26 +244,22 @@ def _wave_point(scene: Scene, delta: float) -> SweepRow:
     probe that already fails the guard at launch raises GuardBandError
     (the grid is too narrow for every row)."""
     nan = float("nan")
-    row = SweepRow(delta, nan, nan, nan, nan, nan, ())
     probe = launch_probe(scene)
     try:
         out = _cross_cell(scene, probe, delta)
     except GuardBandError:
-        return replace(row, flags=("guard_band",))
+        return SweepRow(delta, nan, nan, nan, nan, nan, ("guard_band",))
     trans = transmission(probe, out)
     if is_opaque(probe, out):
-        return replace(row, transmission=trans, flags=("opaque",))
+        return SweepRow(delta, nan, nan, trans, nan, nan, ("opaque",))
     low = ("low_power",) if trans < LOW_POWER_FLOOR else ()
-    row = replace(row, transmission=trans, flags=low)
     try:
         far_centroid, far_width, theta_wave = far_field_moments(
             out, scene.detector_distance
         )
     except AliasingError:
-        return replace(row, flags=low + ("aliased",))
-    return replace(
-        row, theta_wave=theta_wave, far_centroid=far_centroid, far_width=far_width
-    )
+        return SweepRow(delta, nan, nan, trans, nan, nan, low + ("aliased",))
+    return SweepRow(delta, nan, theta_wave, trans, far_centroid, far_width, low)
 
 
 def profile(scene: Scene, deltas: Sequence[float]) -> list[TransverseField]:
@@ -316,13 +312,14 @@ def detuning_sweep(
 
 def angular_dispersion(
     scene: Scene, d_ref: float = 0.0, step: float = TWO_PI * 100.0
-) -> tuple[float, bool]:
+) -> tuple[float, str | None]:
     """Wavelength dispersion d(theta)/d(lambda) around ``d_ref``, in rad/nm.
 
     Central difference of theta_wave over +-``step`` rad/s, converted with
-    d(lambda) = -(lambda^2 / 2 pi c) d(delta).  Returns (value, noisy); the
-    flag is set when the pointing difference is below the angular noise
-    floor, e.g. for an empty cell.
+    d(lambda) = -(lambda^2 / 2 pi c) d(delta).  Returns (value, reason);
+    the reason is "dispersion_noise" when the pointing difference is NaN
+    or below the angular noise floor, e.g. for an empty cell, and None
+    otherwise.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be positive and finite")
@@ -334,7 +331,7 @@ def angular_dispersion(
     slope = diff / (2.0 * step)
     lam_per_rad = scene.medium.wavelength**2 / (TWO_PI * C_LIGHT) * 1e7  # nm s/rad
     noisy = not math.isfinite(diff) or abs(diff) < DISPERSION_NOISE_FLOOR
-    return -slope / lam_per_rad, noisy
+    return -slope / lam_per_rad, "dispersion_noise" if noisy else None
 
 
 def _spots_resolved(
@@ -388,17 +385,19 @@ def spectral_resolution(
     initial_separation: float = TWO_PI * 1e3,
     max_separation: float = RESOLUTION_SEARCH_CAP,
     rel_tol: float = 1e-3,
-) -> float:
-    """Resolving power R = omega / d_omega_min at the carrier frequency.
+) -> tuple[float, str | None]:
+    """Resolving power R = omega / d_omega_min at the carrier frequency,
+    and the reason when R is NaN.
 
     d_omega_min is the smallest detuning separation whose two far-field
     spots pass the Rayleigh test, found by doubling from
     ``initial_separation`` until resolved and then bisecting to
-    ``rel_tol``.  No separation above ``max_separation`` is probed:
-    returns NaN (unresolvable) when the spots at ``max_separation`` still
-    overlap or the spots run out of transmitted power first.  The CLI
-    passes the span of the run's sweep and flags which of the two it was
-    (see _resolution_search).
+    ``rel_tol``.  No separation above ``max_separation`` is probed.
+    Returns (R, reason): R is NaN (unresolvable) with reason "unresolved"
+    when the spots at ``max_separation`` still overlap, and with
+    "resolution_no_power" when a Rayleigh test's spots carried no power
+    first.  The reason is None when R is finite.  The CLI passes the span
+    of the run's sweep as ``max_separation``.
 
     The search is run on predicted verdicts and only its endpoints are
     tested.  Each Rayleigh test gives a guess of the crossing,
@@ -411,22 +410,6 @@ def spectral_resolution(
     the separation, a tested unresolved lo and resolved hi prove every
     prediction on the path right, so R is exactly that of plain bisection.
     """
-    return _resolution_search(
-        scene, d_ref, initial_separation, max_separation, rel_tol
-    )[0]
-
-
-def _resolution_search(
-    scene: Scene,
-    d_ref: float = 0.0,
-    initial_separation: float = TWO_PI * 1e3,
-    max_separation: float = RESOLUTION_SEARCH_CAP,
-    rel_tol: float = 1e-3,
-) -> tuple[float, str | None]:
-    """spectral_resolution, plus the reason when R is NaN: "unresolved"
-    when the spots at the last separation tested, ``max_separation``,
-    still overlap, "resolution_no_power" when a Rayleigh test's spots
-    carried no power.  The reason is None when R is finite."""
     if not math.isfinite(d_ref):
         raise ValueError("d_ref must be finite")
     if not (math.isfinite(initial_separation) and math.isfinite(max_separation)):

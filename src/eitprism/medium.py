@@ -189,7 +189,10 @@ def index_gradient(
     i*delta), 8*pi/waist**2, -2/waist**2 and omega_peak**2.  A ray trace
     then pays on each call for one exp, one complex square root and the
     x-dependent arithmetic of the closed form in :func:`grad_index`.
+    Rejects a non-finite ``delta``.
     """
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     rates = (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
     strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
     four_pi_strength = FOUR_PI * strength

@@ -52,10 +52,13 @@ def integrate_gradient(
 
     ``gradient`` maps transverse position to d(Re n)/dx.  Returns the full
     trajectory including the launch state; z is strictly increasing.  The
-    paraxial flag is set when any |angle| reaches PARAXIAL_LIMIT.
+    paraxial flag is set when any |angle| reaches PARAXIAL_LIMIT.  Rejects
+    a ``length`` that is not positive and finite and a non-finite launch.
     """
-    if length <= 0.0:
-        raise ValueError("length must be positive")
+    if not 0.0 < length < math.inf:
+        raise ValueError("length must be positive and finite")
+    if not (math.isfinite(x0) and math.isfinite(theta0)):
+        raise ValueError("x0 and theta0 must be finite")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     dz = length / n_steps
@@ -88,8 +91,6 @@ def trace_ray(
     n_steps: int,
 ) -> Trajectory:
     """Trace one probe ray through the cell at two-photon detuning ``delta``."""
-    if not math.isfinite(delta):
-        raise ValueError("delta must be finite")
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
     return integrate_gradient(

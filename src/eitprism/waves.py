@@ -156,12 +156,15 @@ def make_gaussian_probe(
 ) -> TransverseField:
     """Unit-power Gaussian probe E ~ exp(-((x - offset)/waist)^2) at z = 0.
 
-    Rejects grids that undersample the waist (dx > waist/16), give it too
-    little room (span < 8*waist), or put the beam center outside the middle
-    half of the grid.
+    Rejects a wavelength or waist that is not positive and finite, a
+    non-finite offset, and grids that undersample the waist (dx >
+    waist/16), give it too little room (span < 8*waist), or put the beam
+    center outside the middle half of the grid.
     """
-    if wavelength <= 0.0 or waist <= 0.0:
-        raise ValueError("wavelength and waist must be positive")
+    if not (0.0 < wavelength < math.inf and 0.0 < waist < math.inf):
+        raise ValueError("wavelength and waist must be positive and finite")
+    if not math.isfinite(offset):
+        raise ValueError("probe offset must be finite")
     if grid.dx > waist / 16.0:
         raise ValueError("grid too coarse for the probe waist")
     if grid.span < 8.0 * waist:

@@ -1,5 +1,6 @@
 """CLI surface: CSV schemas, config plumbing, exit codes, determinism."""
 
+import ast
 import math
 import os
 import subprocess
@@ -162,6 +163,27 @@ def test_sweep_resolution_without_power(tmp_path):
     _, srows = rows_of(out.with_name("dark.summary.csv").read_text(encoding="utf-8"))
     assert srows[0][3] == "nan"
     assert srows[0][4] == "dispersion_noise;resolution_no_power"
+
+
+def test_cli_uses_only_public_library_names():
+    # The CLI formats what the library's public calls return: it imports
+    # no private name from the package and spells no summary flag itself.
+    tree = ast.parse(Path(eitprism.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    strings = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    for flag in ("dispersion_noise", "unresolved", "resolution_no_power"):
+        assert not any(flag in text for text in strings), flag
 
 
 def test_sweep_offset_sign_flip(tmp_path):

@@ -406,16 +406,16 @@ def test_sweep_validation():
 
 def test_angular_dispersion_default_scene():
     sc = default_scene()
-    disp, noisy = angular_dispersion(sc)
-    assert not noisy
+    disp, noise = angular_dispersion(sc)
+    assert noise is None
     assert disp == pytest.approx(-7843.282282259526, rel=1e-3)
     assert 1e2 <= abs(disp) <= 1e4
 
 
 def test_angular_dispersion_vacuum_is_noise():
     sc = vacuum_scene(grid=centered_grid(4096, 12.8))
-    disp, noisy = angular_dispersion(sc)
-    assert noisy
+    disp, noise = angular_dispersion(sc)
+    assert noise == "dispersion_noise"
     assert abs(disp) < 1e-6
 
 
@@ -461,7 +461,9 @@ def test_spectral_resolution_default_scene(monkeypatch):
 
     monkeypatch.setattr(experiment, "_spots_resolved", counted)
     sc = default_scene()
-    assert spectral_resolution(sc) == pytest.approx(1.2408347358652248e10, rel=1e-3)
+    r, cause = spectral_resolution(sc)
+    assert r == pytest.approx(1.2408347358652248e10, rel=1e-3)
+    assert cause is None
     assert len(calls) <= 5  # plain bisection makes 16 Rayleigh tests here
 
 
@@ -476,14 +478,17 @@ def test_spectral_resolution_gives_up_without_power(monkeypatch):
         return spots_resolved(scene, d_ref, separation)
 
     monkeypatch.setattr(experiment, "_spots_resolved", counted)
-    assert math.isnan(spectral_resolution(default_scene(), d_ref=TWO_PI * 8e5))
+    r, cause = spectral_resolution(default_scene(), d_ref=TWO_PI * 8e5)
+    assert math.isnan(r)
+    assert cause == "resolution_no_power"
     assert calls == [TWO_PI * 1e3]
 
 
 def test_spectral_resolution_vacuum_unresolvable():
     sc = vacuum_scene(grid=centered_grid(4096, 12.8))
-    r = spectral_resolution(sc, initial_separation=TWO_PI * 1e7)
+    r, cause = spectral_resolution(sc, initial_separation=TWO_PI * 1e7)
     assert math.isnan(r)
+    assert cause == "unresolved"
     assert math.isnan(reference_resolution(sc, initial=TWO_PI * 1e7))
 
 
@@ -498,9 +503,10 @@ def test_spectral_resolution_vacuum_unresolvable():
 )
 def test_spectral_resolution_matches_plain_bisection(d_ref, cap, resolvable):
     sc = dataclasses.replace(default_scene(), grid=centered_grid(4096, 12.8))
-    got = spectral_resolution(sc, d_ref=d_ref, max_separation=cap)
+    got, cause = spectral_resolution(sc, d_ref=d_ref, max_separation=cap)
     want = reference_resolution(sc, d_ref=d_ref, cap=cap)
     assert math.isfinite(want) == resolvable
+    assert cause == (None if resolvable else "unresolved")
     assert repr(got) == repr(want)
 
 
@@ -516,12 +522,15 @@ def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
     sc = default_scene()
     omega = TWO_PI * C_LIGHT / sc.medium.wavelength
 
-    assert math.isnan(spectral_resolution(sc, max_separation=TWO_PI * 2e4))
+    r, cause = spectral_resolution(sc, max_separation=TWO_PI * 2e4)
+    assert math.isnan(r)
+    assert cause == "unresolved"
     assert max(probed) == TWO_PI * 2e4
 
     probed.clear()
     cap = TWO_PI * 31e3
-    r = spectral_resolution(sc, max_separation=cap)
+    r, cause = spectral_resolution(sc, max_separation=cap)
+    assert cause is None
     assert max(probed) <= cap
     sep = omega / r
     assert needed * (1 - 1e-12) <= sep <= cap * (1 + 1e-12)
@@ -561,9 +570,10 @@ def test_spectral_resolution_non_monotone_verdict(monkeypatch, initial_hz):
     sc = default_scene()
     omega = TWO_PI * C_LIGHT / sc.medium.wavelength
     rel_tol = 1e-3
-    r = spectral_resolution(
+    r, cause = spectral_resolution(
         sc, initial_separation=TWO_PI * initial_hz, max_separation=cap, rel_tol=rel_tol
     )
+    assert cause is None
     assert max(verdicts) <= cap
     hits = [s for s, ok in verdicts.items() if ok and omega / s == r]
     assert hits

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eitprism.medium import ControlField, MediumParams, eta, index_gradient
+from eitprism.medium import ControlField, MediumParams, eta, grad_index, index_gradient
 from eitprism.rays import (
     PARAXIAL_LIMIT,
     Trajectory,
@@ -56,16 +56,30 @@ def test_integrator_validation():
         integrate_gradient(lambda x: 0.0, 0.0, 0.0, -1.0, 100)
     with pytest.raises(ValueError):
         integrate_gradient(lambda x: 0.0, 0.0, 0.0, 1.0, 0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            integrate_gradient(lambda x: 0.0, 0.0, 0.0, bad, 100)
     sc = default_scene()
     with pytest.raises(ValueError):
         trace_ray(0.0, sc.probe.offset, 0.0, sc.medium, sc.control, n_steps=50)
+    # A non-finite launch would integrate to a NaN trajectory without a flag.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            trace_ray(0.0, bad, 0.0, sc.medium, sc.control, n_steps=100)
+        with pytest.raises(ValueError):
+            trace_ray(0.0, sc.probe.offset, bad, sc.medium, sc.control, n_steps=100)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_trace_ray_rejects_non_finite_detuning(bad):
     sc = default_scene()
+    x = sc.probe.offset
     with pytest.raises(ValueError):
-        trace_ray(bad, sc.probe.offset, 0.0, sc.medium, sc.control, n_steps=100)
+        trace_ray(bad, x, 0.0, sc.medium, sc.control, n_steps=100)
+    with pytest.raises(ValueError):
+        grad_index(bad, x, sc.medium, sc.control)
+    with pytest.raises(ValueError):
+        deflection_estimate(bad, x, sc.medium, sc.control)
 
 
 def test_vacuum_cell_straight_ray():

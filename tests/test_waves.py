@@ -82,6 +82,15 @@ def test_probe_validation():
         make_gaussian_probe(g, LAM, waist=2.0, offset=0.0)  # grid too narrow
     with pytest.raises(ValueError):
         make_gaussian_probe(g, LAM, waist=0.06, offset=2.9)  # off the window
+    # Non-finite inputs are usage errors, not a field that trips the guard.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            make_gaussian_probe(g, bad, waist=0.06, offset=0.0)
+        with pytest.raises(ValueError):
+            make_gaussian_probe(g, LAM, waist=bad, offset=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            make_gaussian_probe(g, LAM, waist=0.06, offset=bad)
 
 
 def test_free_propagation_identity_and_errors():
