@@ -9,93 +9,24 @@ method (:mod:`eitprism.waves`), and wraps both in a virtual experiment
 with detuning sweeps, dispersion slopes and spectral resolving power
 (:mod:`eitprism.experiment`).  ``eitprism.cli`` provides the command-line
 interface.
+
+Every name in a module's ``__all__`` is also importable from here.
 """
 
-from .medium import (
-    ControlField,
-    MediumParams,
-    complex_chi,
-    eta,
-    grad_index,
-    index_profile,
-    rabi_at,
-    re_chi,
-    refractive_index,
-)
-from .rays import Trajectory, deflection_estimate, exit_angle, trace_ray
-from .waves import (
-    AliasingError,
-    Grid1D,
-    GuardBandError,
-    TransverseField,
-    ZeroPowerError,
-    beam_width,
-    centered_grid,
-    centroid,
-    far_field_moments,
-    gaussian_beam_field,
-    make_gaussian_probe,
-    power,
-    propagate_free,
-    propagate_medium,
-    transmission,
-)
-from .experiment import (
-    ProbeSpec,
-    Scene,
-    SweepRow,
-    angular_dispersion,
-    detuning_sweep,
-    estimate_parameters,
-    run_point,
-    spectral_resolution,
-)
-from .config import RunConfig, ConfigError, default_scene, parse_config, scene_from_config, serialize_config
+from . import config, experiment, medium, rays, waves
+from .medium import *
+from .rays import *
+from .waves import *
+from .experiment import *
+from .config import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ControlField",
-    "MediumParams",
-    "complex_chi",
-    "eta",
-    "grad_index",
-    "index_profile",
-    "rabi_at",
-    "re_chi",
-    "refractive_index",
-    "Trajectory",
-    "deflection_estimate",
-    "exit_angle",
-    "trace_ray",
-    "AliasingError",
-    "Grid1D",
-    "GuardBandError",
-    "TransverseField",
-    "ZeroPowerError",
-    "beam_width",
-    "centered_grid",
-    "centroid",
-    "far_field_moments",
-    "gaussian_beam_field",
-    "make_gaussian_probe",
-    "power",
-    "propagate_free",
-    "propagate_medium",
-    "transmission",
-    "ProbeSpec",
-    "Scene",
-    "SweepRow",
-    "angular_dispersion",
-    "default_scene",
-    "detuning_sweep",
-    "estimate_parameters",
-    "run_point",
-    "spectral_resolution",
-    "RunConfig",
-    "ConfigError",
-    "parse_config",
-    "scene_from_config",
-    "serialize_config",
+    *medium.__all__,
+    *rays.__all__,
+    *waves.__all__,
+    *experiment.__all__,
+    *config.__all__,
     "__version__",
 ]

@@ -238,7 +238,9 @@ def main(argv: list[str] | None = None) -> int:
             "trace": cmd_trace,
         }[args.command]
         handler(cfg, scene, args)
-    except (ValueError, OSError) as exc:  # ValueError includes ConfigError
+    except (ValueError, OSError, MemoryError) as exc:
+        # ValueError includes ConfigError; MemoryError is an input too
+        # large to allocate, such as --points 1e12.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GuardBandError, ZeroPowerError) as exc:

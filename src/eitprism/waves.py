@@ -274,6 +274,16 @@ def is_opaque(launch: TransverseField, field: TransverseField) -> bool:
     return bool(np.abs(field.amplitude).max() < floor)
 
 
+def _moments(x: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of ``x`` under the non-negative weights ``w``,
+    whose sum must be positive."""
+    total = w.sum()
+    # Reductions rather than np.dot: a BLAS dot on the grid wakes OpenBLAS
+    # worker threads that keep spinning after it returns.
+    mean = np.sum(x * w) / total
+    return mean, np.sum((x - mean) ** 2 * w) / total
+
+
 def far_field_moments(
     field: TransverseField, distance: float
 ) -> tuple[float, float, float]:
@@ -314,20 +324,13 @@ def far_field_moments(
         )
     kz = np.sqrt(np.maximum(k0 * k0 - kx * kx, 0.0))
     s = np.divide(kx, kz, out=np.zeros_like(kx), where=kz > 0.0)
-    w = mag * mag
-    total = w.sum()
-    # Reductions rather than np.dot or np.vdot: see centroid.
-    s_mean = np.sum(s * w) / total
-    s_var = np.sum((s - s_mean) ** 2 * w) / total
+    s_mean, s_var = _moments(s, mag * mag)
     # The propagating part of the field, and (S - <s>) applied to it.
     a, sa = np.fft.ifft(np.stack([spectrum, (s - s_mean) * spectrum]))
     intensity = np.abs(a) ** 2
-    p = intensity.sum()
     xs = field.grid.xs()
-    x_mean = np.sum(xs * intensity) / p
-    xc = xs - x_mean
-    x_var = np.sum(xc * xc * intensity) / p
-    cov = np.sum(np.conj(xc * a) * sa).real / p
+    x_mean, x_var = _moments(xs, intensity)
+    cov = np.sum(np.conj((xs - x_mean) * a) * sa).real / intensity.sum()
     var = x_var + 2.0 * distance * cov + distance * distance * s_var
     return (
         float(x_mean + distance * s_mean),
@@ -343,12 +346,9 @@ def power(field: TransverseField) -> float:
 def centroid(field: TransverseField) -> float:
     """Intensity-weighted mean transverse position (cm)."""
     w = np.abs(field.amplitude) ** 2
-    total = w.sum()
-    if total == 0.0:
+    if w.sum() == 0.0:
         raise ZeroPowerError("centroid of a zero-power field")
-    # Reductions rather than np.dot: a BLAS dot on the grid wakes OpenBLAS
-    # worker threads that keep spinning after it returns.
-    return float(np.sum(field.grid.xs() * w) / total)
+    return float(_moments(field.grid.xs(), w)[0])
 
 
 def beam_width(field: TransverseField) -> float:
@@ -358,14 +358,9 @@ def beam_width(field: TransverseField) -> float:
     1/e^2-intensity radius w.
     """
     w = np.abs(field.amplitude) ** 2
-    total = w.sum()
-    if total == 0.0:
+    if w.sum() == 0.0:
         raise ZeroPowerError("width of a zero-power field")
-    xs = field.grid.xs()
-    # np.sum, not np.dot: see centroid.
-    mean = np.sum(xs * w) / total
-    var = np.sum((xs - mean) ** 2 * w) / total
-    return float(2.0 * math.sqrt(var))
+    return float(2.0 * math.sqrt(_moments(field.grid.xs(), w)[1]))
 
 
 def transmission(field_in: TransverseField, field_out: TransverseField) -> float:

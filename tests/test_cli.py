@@ -395,6 +395,17 @@ def test_exit_code_bad_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_code_input_too_large_for_memory(capsys, monkeypatch):
+    # Stands in for `chi --points 1e12`, whose linspace numpy cannot
+    # allocate; a real request that size could get the runner OOM-killed.
+    def too_large(cfg, scene, args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(eitprism.cli, "cmd_chi", too_large)
+    assert main(["chi"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+
 @pytest.mark.parametrize(
     "flag",
     ["--max-hz=inf", "--min-hz=-inf", "--max-hz=nan", "--min-hz -inf", "--min-hz -Infinity"],

@@ -308,25 +308,35 @@ def test_probe_launch_failing_guard_raises():
         angular_dispersion(narrow)
 
 
-def test_run_point_aliased():
-    # A 4 mm probe on the coarsest grid it accepts (dx = waist / 16) through
-    # a 2 cm cell: at 400 kHz the ray leaves at more than the grid's
-    # Nyquist angle lam / (2 dx) while 0.3 % of the power gets through.
-    # The exit spectrum reaches the Nyquist edge, so the row keeps its
-    # transmission and reads no spot.
+@pytest.mark.parametrize(
+    "cell_length, flags, t_low, t_high",
+    [
+        (2.0, ("aliased",), 1e-3, 1e-2),
+        # Below LOW_POWER_FLOOR the row also carries low_power, ahead of
+        # aliased, although it reads no wave angle.
+        (12.0, ("low_power", "aliased"), 1e-11, 1e-10),
+    ],
+    ids=["2cm", "12cm"],
+)
+def test_run_point_aliased(cell_length, flags, t_low, t_high):
+    # A 4 mm probe on the coarsest grid it accepts (dx = waist / 16): at
+    # 400 kHz the ray leaves at more than the grid's Nyquist angle
+    # lam / (2 dx) while some power gets through (0.3 % of it for a 2 cm
+    # cell).  The exit spectrum reaches the Nyquist edge, so the row keeps
+    # its transmission and reads no spot.
     sc = default_scene()
     waist = 0.4
     dx = waist / 16.0
     coarse = dataclasses.replace(
         sc,
-        medium=dataclasses.replace(sc.medium, cell_length=2.0),
+        medium=dataclasses.replace(sc.medium, cell_length=cell_length),
         probe=ProbeSpec(waist, sc.probe.offset),
         grid=centered_grid(1024, 1024 * dx),
     )
     row = run_point(coarse, TWO_PI * 4e5)
     assert row.theta_ray > sc.medium.wavelength / (2.0 * dx)
-    assert row.flags == ("aliased",)
-    assert 1e-3 < row.transmission < 1e-2
+    assert row.flags == flags
+    assert t_low < row.transmission < t_high
     assert math.isnan(row.theta_wave) and math.isnan(row.far_centroid)
     assert math.isnan(row.far_width)
 
