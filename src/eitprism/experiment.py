@@ -11,10 +11,13 @@ pointing angle from the exit field's moments: a row flies no field to the
 detector, so the grid need not hold the spot there.  The window cannot
 change an outcome: a crossing that trips the guard on a window narrower
 than the scene grid is run once more on the whole grid, so a beam that
-walks far inside the cell gets the whole grid's result.  Sweeps are
-run_point in a plain loop; the angular-dispersion slope and the
-spectral-resolution search read only the wave quantities, so they use
-its wave half and trace no rays.  profile makes the images behind
+walks far inside the cell gets the whole grid's result.  A sweep of at
+least RAY_BATCH_ROWS rows traces all of its rays as one batch
+(rays.trace_exits) and then runs the wave half row by row; a shorter
+sweep is run_point in a plain loop.  Both merge a ray into a row with
+_ray_row.  The angular-dispersion slope and the spectral-resolution
+search read only the wave quantities, so they use the wave half and
+trace no rays.  profile makes the images behind
 ``eitprism profile``: it crosses the cell as a row does, copies the exit
 field onto the scene grid and flies it to the detector.  Rows and
 profile share one launch (launch_probe) and one crossing (_cross_cell).
@@ -33,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .medium import ControlField, MediumParams
-from .rays import exit_angle, trace_ray
+from .rays import exit_angle, trace_exits, trace_ray
 from .waves import (
     OPAQUE_LEVEL,
     AliasingError,
@@ -83,6 +86,12 @@ DISPERSION_NOISE_FLOOR = 1e-12
 # empty one.  The value is the span of the stock +-20 MHz sweep; the CLI
 # passes the span of the run's own sweep instead.
 RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
+
+# Rows from which a sweep traces its rays as one batch (see
+# detuning_sweep).  A batch costs about as much as 26-33 scalar traces
+# whatever its size up to 101 rays (0.58-0.75 s against 22.5 ms per
+# trace, min of 15 on 2 vCPUs), so below this a sweep traces row by row.
+RAY_BATCH_ROWS = 30
 
 # Probe waists a row's window spans at least (see _probe_window): the
 # launch sits 6 waists from either edge, where its amplitude is e^-36.  A
@@ -178,9 +187,15 @@ def run_point(scene: Scene, delta: float) -> SweepRow:
     traj = trace_ray(
         delta, scene.probe.offset, 0.0, scene.medium, scene.control, scene.ray_steps
     )
+    return _ray_row(scene, delta, exit_angle(traj), traj.paraxial_violation)
+
+
+def _ray_row(scene: Scene, delta: float, theta_ray: float, paraxial: bool) -> SweepRow:
+    """The row at ``delta``: the wave half (_wave_point) with the ray's
+    exit angle and, when ``paraxial``, the "paraxial" flag merged in."""
     row = _wave_point(scene, delta)
-    ray_flags = ("paraxial",) if traj.paraxial_violation else ()
-    return replace(row, theta_ray=exit_angle(traj), flags=ray_flags + row.flags)
+    ray_flags = ("paraxial",) if paraxial else ()
+    return replace(row, theta_ray=theta_ray, flags=ray_flags + row.flags)
 
 
 def _probe_window(scene: Scene) -> slice:
@@ -292,11 +307,16 @@ def detuning_sweep(
     n_points: int,
     threads: int | None = None,
 ) -> list[SweepRow]:
-    """run_point over n_points detunings evenly spaced on [d_min, d_max],
-    in detuning order.
+    """The rows of run_point at n_points detunings evenly spaced on
+    [d_min, d_max], in detuning order.
 
-    ``threads`` is accepted for compatibility and has no effect: the rows
-    run one after another.  It must be at least 1 when given.
+    A sweep of at least RAY_BATCH_ROWS rows traces all of its rays in one
+    batch (rays.trace_exits), whose exit angles agree with run_point's
+    scalar traces in the last bits only (at most 3.2e-15 relative on the
+    stock rows), and then runs the wave half row by row; a shorter sweep
+    is run_point row by row.  ``threads`` is
+    accepted for compatibility and has no effect.  It must be at least 1
+    when given.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -307,7 +327,16 @@ def detuning_sweep(
     if threads is not None and threads < 1:
         raise ValueError("threads must be at least 1")
     step = (d_max - d_min) / (n_points - 1)
-    return [run_point(scene, d_min + i * step) for i in range(n_points)]
+    deltas = [d_min + i * step for i in range(n_points)]
+    if n_points < RAY_BATCH_ROWS:
+        return [run_point(scene, delta) for delta in deltas]
+    thetas, paraxial = trace_exits(
+        deltas, scene.probe.offset, 0.0, scene.medium, scene.control, scene.ray_steps
+    )
+    return [
+        _ray_row(scene, delta, theta, flag)
+        for delta, theta, flag in zip(deltas, thetas.tolist(), paraxial.tolist())
+    ]
 
 
 def angular_dispersion(

@@ -174,14 +174,14 @@ def grad_index(delta: float, x: float, p: MediumParams, c: ControlField) -> floa
         dq/dx   = -4*u/waist**2 * q
     whose product is the closed form
         d(Re n)/dx = (8*pi*u*q / waist**2) * Re[S / (D**2 * sqrt(1 + 4*pi*S/D))].
-    Scalar-only; the vectorized cross-check is :func:`grad_index_fd`.
+    ``delta`` and ``x`` may also be arrays of one shape (see
+    :func:`index_gradient`); the finite-difference cross-check is
+    :func:`grad_index_fd`.
     """
     return index_gradient(delta, p, c)(x)
 
 
-def index_gradient(
-    delta: float, p: MediumParams, c: ControlField
-) -> Callable[[float], float]:
+def index_gradient(delta, p: MediumParams, c: ControlField) -> Callable:
     """:func:`grad_index` at fixed ``delta`` as a function of x alone.
 
     The factors that do not depend on x are computed once: the numerator
@@ -189,10 +189,21 @@ def index_gradient(
     i*delta), 8*pi/waist**2, -2/waist**2 and omega_peak**2.  A ray trace
     then pays on each call for one exp, one complex square root and the
     x-dependent arithmetic of the closed form in :func:`grad_index`.
-    Rejects a non-finite ``delta``.
+
+    A float ``delta`` gives a function of a float x, evaluated with
+    math.exp and cmath.sqrt.  An array of detunings gives a function of an
+    array x of the same shape, one position per detuning, evaluated in the
+    same operation order with np.exp and np.sqrt; numpy's complex
+    arithmetic and exp can round the last bits differently from Python's.
+    Rejects a ``delta`` with any non-finite element.
     """
-    if not math.isfinite(delta):
+    if not np.isfinite(delta).all():
         raise ValueError("delta must be finite")
+    if np.ndim(delta) == 0:
+        exp, sqrt = math.exp, cmath.sqrt
+    else:
+        delta = np.asarray(delta, dtype=float)
+        exp, sqrt = np.exp, np.sqrt
     rates = (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
     strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
     four_pi_strength = FOUR_PI * strength
@@ -200,9 +211,8 @@ def index_gradient(
     decay = -2.0 / (c.waist * c.waist)
     omega_peak2 = c.omega_peak * c.omega_peak
     center = c.center
-    exp, sqrt = math.exp, cmath.sqrt
 
-    def gradient(x: float) -> float:
+    def gradient(x):
         u = x - center
         q = omega_peak2 * exp(decay * u * u)
         den = q + rates

@@ -1,6 +1,7 @@
 """CLI surface: CSV schemas, config plumbing, exit codes, determinism."""
 
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -121,6 +122,36 @@ def test_sweep_byte_determinism(tmp_path):
         blobs.append(out.read_bytes()
                      + out.with_name(out.stem + ".summary.csv").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_batched_sweep_determinism(tmp_path, monkeypatch):
+    # At RAY_BATCH_ROWS rows a sweep traces its rays as one batch (it calls
+    # no run_point); rows and CLI bytes stay the same across thread counts
+    # and reruns, opaque NaN rows included.  1000 ray steps keep the four
+    # batches quick.
+    def per_row(*args):
+        raise AssertionError("a batched sweep ran run_point")
+
+    monkeypatch.setattr(experiment, "run_point", per_row)
+    n = experiment.RAY_BATCH_ROWS
+    sc = dataclasses.replace(default_scene(), ray_steps=1000)
+    rows = [experiment.detuning_sweep(sc, -TWO_PI * 1e7, TWO_PI * 1e7, n, threads=t)
+            for t in (1, 4)]
+    assert repr(rows[0]) == repr(rows[1])  # repr, not ==: NaN fields
+    deltas = [r.detuning for r in rows[0]]
+    assert deltas == sorted(deltas) and len(deltas) == n
+    assert deltas[0] == -TWO_PI * 1e7 and deltas[-1] == TWO_PI * 1e7
+    assert rows[0][0].flags == ("opaque",) and math.isnan(rows[0][0].theta_wave)
+
+    cfg = write_config(tmp_path, FAST_KEYS + "ray_steps: 1000\n")
+    blobs = []
+    for name, threads in (("a.csv", "1"), ("b.csv", "4")):
+        out = tmp_path / name
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--points", str(n),
+                     "--min-hz", "-1e7", "--max-hz", "1e7", "--threads", threads]) == 0
+        blobs.append(out.read_bytes()
+                     + out.with_name(out.stem + ".summary.csv").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_sweep_vacuum(tmp_path):

@@ -11,10 +11,12 @@ from eitprism.rays import (
     Trajectory,
     deflection_estimate,
     exit_angle,
+    integrate_exits,
     integrate_gradient,
+    trace_exits,
     trace_ray,
 )
-from eitprism import default_scene
+from eitprism import RunConfig, default_scene, sweep_bounds
 from eitprism.experiment import estimate_parameters
 
 TWO_PI = 2.0 * math.pi
@@ -80,6 +82,15 @@ def test_trace_ray_rejects_non_finite_detuning(bad):
         grad_index(bad, x, sc.medium, sc.control)
     with pytest.raises(ValueError):
         deflection_estimate(bad, x, sc.medium, sc.control)
+    # One bad element in an array of detunings is refused the same way.
+    deltas = np.array([0.0, TWO_PI * 1e4, bad])
+    for call in (
+        lambda: index_gradient(deltas, sc.medium, sc.control),
+        lambda: grad_index(deltas, np.full(3, x), sc.medium, sc.control),
+        lambda: trace_exits(deltas, x, 0.0, sc.medium, sc.control, n_steps=100),
+    ):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            call()
 
 
 def test_vacuum_cell_straight_ray():
@@ -282,3 +293,88 @@ def test_estimate_matches_trace_for_small_walk():
     walk = abs(traj.states[-1, 1] - sc.probe.offset)
     assert walk < sc.control.waist / 10.0
     assert exit_angle(traj) == pytest.approx(est, rel=0.05)
+
+
+def _stock_deltas():
+    """The detunings of the stock 101-row sweep, as detuning_sweep spaces them."""
+    d_min, d_max, n = sweep_bounds(RunConfig())
+    step = (d_max - d_min) / (n - 1)
+    return [d_min + i * step for i in range(n)]
+
+
+@pytest.fixture(scope="module")
+def stock_batch():
+    sc = default_scene()
+    deltas = _stock_deltas()
+    thetas, flags = trace_exits(
+        deltas, sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps
+    )
+    return sc, deltas, thetas, flags
+
+
+def test_batch_matches_scalar_traces_on_stock_rows(stock_batch):
+    # numpy's exp and complex arithmetic round differently from Python's
+    # in the last bits, never in a printed (9 significant digit) angle.
+    sc, deltas, thetas, flags = stock_batch
+    assert thetas.shape == flags.shape == (101,) and thetas.dtype == np.float64
+    for delta, theta, flag in zip(deltas, thetas.tolist(), flags.tolist()):
+        traj = trace_ray(delta, sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps)
+        ref = exit_angle(traj)
+        assert abs(theta - ref) <= 1e-13 * abs(ref)
+        assert f"{theta:.9g}" == f"{ref:.9g}"
+        assert flag is traj.paraxial_violation
+
+
+def test_batch_rows_independent_of_batch(stock_batch):
+    # Two sub-batches of odd sizes put every row at another position.
+    sc, deltas, thetas, flags = stock_batch
+    parts = [
+        trace_exits(part, sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps)
+        for part in (deltas[:37], deltas[37:])
+    ]
+    joined = np.concatenate([t for t, _ in parts])
+    np.testing.assert_array_equal(joined.view(np.uint64), thetas.view(np.uint64))
+    np.testing.assert_array_equal(np.concatenate([f for _, f in parts]), flags)
+
+
+def test_batch_stub_flags_match_scalar_integrator():
+    # x'' = -x from (x0, theta0) gives angle = theta0 cos(z) - x0 sin(z).
+    # Over [0, pi] a ray from x0 = -1 rises past the limit mid-cell and is
+    # back near 0 at the exit, and one from -0.3 peaks at 0.3.  Over
+    # [0, 1] a ray launched on the limit only falls from there.
+    gradient = lambda x: -x  # noqa: E731
+    cases = [
+        (np.array([-1.0, -0.3]), np.zeros(2), math.pi, [True, False]),
+        (np.array([0.0]), np.array([PARAXIAL_LIMIT]), 1.0, [True]),
+    ]
+    for x0, theta0, length, expect in cases:
+        thetas, flags = integrate_exits(gradient, x0, theta0, length, 100)
+        exact = theta0 * math.cos(length) - x0 * math.sin(length)
+        np.testing.assert_allclose(thetas, exact, rtol=0.0, atol=1e-6)
+        assert flags.tolist() == expect
+        for i in range(len(x0)):
+            traj = integrate_gradient(gradient, x0[i], theta0[i], length, 100)
+            assert thetas[i] == exit_angle(traj)  # same RK4 loop, real arithmetic
+            assert flags[i] == traj.paraxial_violation
+
+
+def test_batch_nan_angle_never_flags():
+    # Row 1's gradient is NaN: its angle turns NaN and its flag stays off.
+    thetas, flags = integrate_exits(
+        lambda x: np.array([0.0, math.nan]) * x, np.ones(2), np.zeros(2), 1.0, 100
+    )
+    assert thetas[0] == 0.0 and math.isnan(thetas[1])
+    assert flags.tolist() == [False, False]
+
+
+def test_batch_validation():
+    sc = default_scene()
+    with pytest.raises(ValueError):
+        trace_exits([0.0], sc.probe.offset, 0.0, sc.medium, sc.control, n_steps=50)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            trace_exits([0.0], bad, 0.0, sc.medium, sc.control, n_steps=100)
+        with pytest.raises(ValueError):
+            integrate_exits(lambda x: x, np.zeros(2), np.array([0.0, bad]), 1.0, 100)
+    with pytest.raises(ValueError):
+        integrate_exits(lambda x: x, np.zeros(2), np.zeros(2), 1.0, 0)
