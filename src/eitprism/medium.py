@@ -192,9 +192,11 @@ def index_gradient(delta, p: MediumParams, c: ControlField) -> Callable:
 
     A float ``delta`` gives a function of a float x, evaluated with
     math.exp and cmath.sqrt.  An array of detunings gives a function of an
-    array x of the same shape, one position per detuning, evaluated in the
-    same operation order with np.exp and np.sqrt; numpy's complex
-    arithmetic and exp can round the last bits differently from Python's.
+    array x of the same shape, one position per detuning, or of any shape
+    that broadcasts against it (such as (..., B) for B detunings),
+    evaluated in the same operation order with np.exp and np.sqrt; numpy's
+    complex arithmetic and exp can round the last bits differently from
+    Python's.
     Rejects a ``delta`` with any non-finite element.
     """
     if not np.isfinite(delta).all():

@@ -24,6 +24,7 @@ from eitprism.waves import (
 )
 
 TWO_PI = 2.0 * math.pi
+DATA = Path(__file__).parent / "data"
 
 # Coarser grid over the default window: keeps the summary computations
 # (dispersion, resolution search) quick in CLI tests.
@@ -125,10 +126,10 @@ def test_sweep_byte_determinism(tmp_path):
 
 
 def test_batched_sweep_determinism(tmp_path, monkeypatch):
-    # At RAY_BATCH_ROWS rows a sweep traces its rays as one batch (it calls
-    # no run_point); rows and CLI bytes stay the same across thread counts
-    # and reruns, opaque NaN rows included.  1000 ray steps keep the four
-    # batches quick.
+    # At RAY_BATCH_ROWS rows a sweep reads its exit angles from the energy
+    # integral and certifies every one (it calls no run_point, its RK4
+    # fallback); rows and CLI bytes stay the same across thread counts and
+    # reruns, opaque NaN rows included.  The batch does not read ray_steps.
     def per_row(*args):
         raise AssertionError("a batched sweep ran run_point")
 
@@ -152,6 +153,16 @@ def test_batched_sweep_determinism(tmp_path, monkeypatch):
         blobs.append(out.read_bytes()
                      + out.with_name(out.stem + ".summary.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_stock_sweep_bytes(tmp_path):
+    # The stock run's CSV and summary, byte for byte: tests/data holds the
+    # files the stock `eitprism sweep` wrote when RK4 traced every row.
+    out = tmp_path / "stock_sweep.csv"
+    cfg = write_config(tmp_path, "")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("stock_sweep.csv", "stock_sweep.summary.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 def test_sweep_vacuum(tmp_path):

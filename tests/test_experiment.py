@@ -404,6 +404,31 @@ def test_sweep_ordering_and_thread_independence():
     assert repr(far1) == repr(far4)
 
 
+def test_uncertified_sweep_row_runs_run_point(monkeypatch):
+    # A row whose energy-integral angle is not certified is run_point,
+    # RK4 at the scene's ray_steps; the other rows keep the quadrature.
+    sc = dataclasses.replace(default_scene(), ray_steps=1000)
+    quadrature = experiment.ray_exits
+
+    def every_seventh_uncertified(*args):
+        thetas, flags, certified = quadrature(*args)
+        certified[::7] = False
+        return thetas, flags, certified
+
+    monkeypatch.setattr(experiment, "ray_exits", every_seventh_uncertified)
+    n = experiment.RAY_BATCH_ROWS
+    rows = detuning_sweep(sc, -TWO_PI * 4e5, TWO_PI * 4e5, n)
+    deltas = [r.detuning for r in rows]
+    thetas = quadrature(deltas, sc.probe.offset, sc.medium, sc.control)[0]
+    for i, row in enumerate(rows):
+        if i % 7 == 0:
+            assert repr(row) == repr(run_point(sc, row.detuning))
+        else:
+            assert row.theta_ray == thetas[i]
+    # RK4 rounds differently from the quadrature in the last bits.
+    assert any(rows[i].theta_ray != thetas[i] for i in range(0, n, 7))
+
+
 def test_sweep_validation():
     sc = default_scene()
     with pytest.raises(ValueError):
