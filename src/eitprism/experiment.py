@@ -12,10 +12,10 @@ detector, so the grid need not hold the spot there.  The window cannot
 change an outcome: a crossing that trips the guard on a window narrower
 than the scene grid is run once more on the whole grid, so a beam that
 walks far inside the cell gets the whole grid's result.  A sweep of at
-least RAY_BATCH_ROWS rows reads all of its exit angles from the ray's
-energy integral (rays.ray_exits) and then runs the wave half row by row;
-a row whose angle the integral cannot certify, and every row of a
-shorter sweep, is run_point.  Both merge a ray into a row with _ray_row.  The
+least RAY_BATCH_ROWS rows integrates all of its rays as one batch
+(rays.ray_exits) and then runs the wave half row by row; a row whose
+angle the batch cannot certify, and every row of a shorter sweep, is
+run_point.  Both merge a ray into a row with _ray_row.  The
 angular-dispersion slope and the spectral-resolution search read only
 the wave quantities, so they use the wave half and trace no rays.
 profile makes the images behind ``eitprism profile``: it crosses the
@@ -88,8 +88,8 @@ DISPERSION_NOISE_FLOOR = 1e-12
 # passes the span of the run's own sweep instead.
 RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
 
-# Rows from which a sweep reads its exit angles from the energy integral
-# (see detuning_sweep).  Shorter sweeps keep run_point's RK4 trace only
+# Rows from which a sweep integrates its rays as one batch (see
+# detuning_sweep).  Shorter sweeps keep run_point's RK4 trace only
 # because the benchmark's tracer self-test pins a 3-row sweep's trace_ray
 # calls and RK4 step counts.
 RAY_BATCH_ROWS = 30
@@ -312,10 +312,11 @@ def detuning_sweep(
     [d_min, d_max], in detuning order.
 
     A sweep of at least RAY_BATCH_ROWS rows takes its exit angles and
-    paraxial flags from the energy integral (rays.ray_exits), which equal
-    run_point's RK4 traces at 9 significant digits (within 1e-11 relative
-    on the stock, near-resonance and imaging rows) and does not read
-    ``scene.ray_steps``; a row whose angle it cannot certify is run_point.
+    paraxial flags from one batch of extrapolated Störmer steps
+    (rays.ray_exits), which equal run_point's RK4 traces at 9 significant
+    digits (within 1e-11 relative on the stock, near-resonance and
+    imaging rows) and do not read ``scene.ray_steps``; a row whose angle
+    it cannot certify is run_point.
     It then runs the wave half row by row.  A shorter sweep is run_point
     row by row.  ``threads`` is accepted for compatibility and has no
     effect.  It must be at least 1 when given.
