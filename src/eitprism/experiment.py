@@ -11,16 +11,20 @@ pointing angle from the exit field's moments: a row flies no field to the
 detector, so the grid need not hold the spot there.  The window cannot
 change an outcome: a crossing that trips the guard on a window narrower
 than the scene grid is run once more on the whole grid, so a beam that
-walks far inside the cell gets the whole grid's result.  A sweep of at
-least RAY_BATCH_ROWS rows integrates all of its rays as one batch
-(rays.ray_exits) and then runs the wave half row by row; a row whose
-angle the batch cannot certify, and every row of a shorter sweep, is
-run_point.  Both merge a ray into a row with _ray_row.  The
-angular-dispersion slope and the spectral-resolution search read only
-the wave quantities, so they use the wave half and trace no rays.
-profile makes the images behind ``eitprism profile``: it crosses the
-cell as a row does, copies the exit field onto the scene grid and flies
-it to the detector.  Rows and
+walks far inside the cell gets the whole grid's result.  Detunings cross
+the cell together: _cross_cell runs one split-step loop
+(waves.propagate_stack) for a stack of rows, at most STACK_SAMPLES
+samples at a time, and each stack's exit fields are read out before the
+next stack starts.  A sweep of at least RAY_BATCH_ROWS rows integrates
+all of its rays as one batch (rays.ray_exits) and crosses the cell with
+the rows whose angle the batch certifies as such stacks; a row whose
+angle it cannot certify, and every row of a shorter sweep, is run_point,
+a stack of one.  The angular-dispersion slope and each Rayleigh test of
+the spectral-resolution search read only the wave quantities of a pair
+of detunings, so they cross the cell as a stack of two and trace no
+rays.  profile makes the images behind ``eitprism profile``: it crosses
+the cell with its detunings as a sweep's rows do, copies each exit field
+onto the scene grid and flies it to the detector.  Rows, the pairs and
 profile share one launch (launch_probe) and one crossing (_cross_cell).
 The resolution search predicts its doubling-plus-bisection path from the
 linear growth of the spot gap and runs Rayleigh tests only at the path's
@@ -31,8 +35,9 @@ what plain bisection returns.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +55,7 @@ from .waves import (
     make_gaussian_probe,
     propagate_free,
     propagate_medium,
+    propagate_stack,
     transmission,
 )
 
@@ -93,6 +99,13 @@ RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
 # because the benchmark's tracer self-test pins a 3-row sweep's trace_ray
 # calls and RK4 step counts.
 RAY_BATCH_ROWS = 30
+
+# Complex samples that one stack of rows crosses the cell with at most
+# (see _cross_cell): 32 rows of the stock 1024-point probe window, or 2
+# rows of the 16384-point scene grid.  Each stack's exit fields are read
+# out before the next stack is crossed, so this bounds the memory of a
+# long sweep's wave half.
+STACK_SAMPLES = 2**15
 
 # Probe waists a row's window spans at least (see _probe_window): the
 # launch sits 6 waists from either edge, where its amplitude is e^-36.  A
@@ -188,13 +201,13 @@ def run_point(scene: Scene, delta: float) -> SweepRow:
     traj = trace_ray(
         delta, scene.probe.offset, 0.0, scene.medium, scene.control, scene.ray_steps
     )
-    return _ray_row(scene, delta, exit_angle(traj), traj.paraxial_violation)
-
-
-def _ray_row(scene: Scene, delta: float, theta_ray: float, paraxial: bool) -> SweepRow:
-    """The row at ``delta``: the wave half (_wave_point) with the ray's
-    exit angle and, when ``paraxial``, the "paraxial" flag merged in."""
     row = _wave_point(scene, delta)
+    return _with_ray(row, exit_angle(traj), traj.paraxial_violation)
+
+
+def _with_ray(row: SweepRow, theta_ray: float, paraxial: bool) -> SweepRow:
+    """The wave half ``row`` with the ray's exit angle and, when
+    ``paraxial``, the "paraxial" flag merged in."""
     ray_flags = ("paraxial",) if paraxial else ()
     return replace(row, theta_ray=theta_ray, flags=ray_flags + row.flags)
 
@@ -238,32 +251,79 @@ def _on_grid(scene: Scene, field: TransverseField) -> TransverseField:
     return replace(field, grid=g, amplitude=np.pad(field.amplitude, pad))
 
 
-def _cross_cell(scene: Scene, probe: TransverseField, delta: float) -> TransverseField:
-    """``probe``, from launch_probe, through the scene's cell at detuning
-    ``delta``: the one crossing that sweep rows and profile share.  A guard
-    trip on a window narrower than the scene grid runs the crossing once
-    more with the probe zero-padded onto the whole grid, so the window
-    never changes an outcome; a trip there raises GuardBandError."""
-    args = (delta, scene.medium, scene.control, scene.n_slices)
-    try:
-        return propagate_medium(probe, *args)
-    except GuardBandError:
-        if probe.grid == scene.grid:
-            raise
-    return propagate_medium(_on_grid(scene, probe), *args)
+def _cross_cell(
+    scene: Scene, probe: TransverseField, deltas: Sequence[float]
+) -> Iterator[TransverseField | GuardBandError]:
+    """``probe``, from launch_probe, through the scene's cell at each
+    detuning of ``deltas``: the one crossing that sweep rows, the summary's
+    pairs and profile share.  Yields, in the order of ``deltas``, the exit
+    field or the GuardBandError of a trip on the scene grid.
+
+    The detunings cross in stacks of at most STACK_SAMPLES samples, one
+    stack after the other (see _cross_stack); a stack's exit fields are
+    dropped once they have been yielded, before the next stack starts."""
+    deltas = list(deltas)
+    size = max(1, STACK_SAMPLES // probe.grid.n_points)
+    for k in range(0, len(deltas), size):
+        yield from _cross_stack(scene, probe, deltas[k : k + size])
+
+
+def _cross_stack(
+    scene: Scene, probe: TransverseField, deltas: list[float]
+) -> Iterator[TransverseField | GuardBandError]:
+    """One stack of _cross_cell: propagate_stack, or propagate_medium, its
+    stack of one row, for a single detuning, so that a lone row's crossing
+    is one call of the public function (the benchmark's tracer counts
+    those).  A row that trips the guard on a window narrower than the
+    scene grid is crossed again with the probe zero-padded onto the whole
+    grid, in stacks of its own, so the window never changes an outcome."""
+    args = (scene.medium, scene.control, scene.n_slices)
+    if len(deltas) > 1:
+        outs = propagate_stack(probe, deltas, *args)
+    else:
+        try:
+            outs = [propagate_medium(probe, deltas[0], *args)]
+        except GuardBandError as err:
+            outs = [err]
+    trips = [d for d, out in zip(deltas, outs) if isinstance(out, GuardBandError)]
+    reruns = None
+    if trips and probe.grid != scene.grid:
+        reruns = _cross_cell(scene, _on_grid(scene, probe), trips)
+    for out in outs:
+        if reruns is not None and isinstance(out, GuardBandError):
+            out = next(reruns)
+        yield out
+
+
+def _wave_rows(scene: Scene, deltas: Sequence[float]) -> Iterator[SweepRow]:
+    """Wave halves of run_point at each detuning of ``deltas``, in order:
+    cross the cell on the probe's window of the scene grid (see
+    _cross_cell) and read the detector from each exit field's moments.
+    The rows' ``theta_ray`` is NaN; no ray is traced.  A probe that
+    already fails the guard at launch raises GuardBandError (the grid is
+    too narrow for every row)."""
+    probe = launch_probe(scene)
+    # map holds no exit field between rows, so each stack's fields are
+    # freed before the next stack is crossed.
+    readout = partial(_readout, scene, probe)
+    return map(readout, deltas, _cross_cell(scene, probe, deltas))
 
 
 def _wave_point(scene: Scene, delta: float) -> SweepRow:
-    """Wave half of run_point: cross the cell on the probe's window of the
-    scene grid (see _cross_cell) and read the detector from the exit
-    field's moments.  The row's ``theta_ray`` is NaN; no ray is traced.  A
-    probe that already fails the guard at launch raises GuardBandError
-    (the grid is too narrow for every row)."""
+    """The wave half of run_point at ``delta`` (see _wave_rows)."""
+    (row,) = _wave_rows(scene, [delta])
+    return row
+
+
+def _readout(
+    scene: Scene,
+    probe: TransverseField,
+    delta: float,
+    out: TransverseField | GuardBandError,
+) -> SweepRow:
+    """The wave row at ``delta`` from its crossing ``out`` of the cell."""
     nan = float("nan")
-    probe = launch_probe(scene)
-    try:
-        out = _cross_cell(scene, probe, delta)
-    except GuardBandError:
+    if isinstance(out, GuardBandError):
         return SweepRow(delta, nan, nan, nan, nan, nan, ("guard_band",))
     trans = transmission(probe, out)
     if is_opaque(probe, out):
@@ -281,16 +341,21 @@ def _wave_point(scene: Scene, delta: float) -> SweepRow:
 def profile(scene: Scene, deltas: Sequence[float]) -> list[TransverseField]:
     """The images of ``eitprism profile``: the probe at the cell entrance,
     then the field at the detector for each detuning in ``deltas``
-    (rad/s), all on the scene grid.  The cell is crossed as in a sweep row
-    (see _cross_cell); the launch and exit fields are then zero-padded
-    onto the scene grid, and the exit field is flown to the detector.
-    Raises ZeroPowerError naming the first detuning at which the cell is
-    opaque, and GuardBandError on a guard trip on the scene grid, in the
-    cell or at the detector."""
+    (rad/s), all on the scene grid.  The cell is crossed as sweep rows
+    cross it (see _cross_cell); the launch and exit fields are then
+    zero-padded onto the scene grid, and the exit field is flown to the
+    detector.  Raises, for the first detuning in ``deltas`` that fails,
+    ZeroPowerError naming it when the cell is opaque there, or
+    GuardBandError on a guard trip on the scene grid, in the cell or at
+    the detector.  A non-finite detuning raises ValueError before any is
+    crossed."""
     probe = launch_probe(scene)
+    if not all(math.isfinite(delta) for delta in deltas):
+        raise ValueError("delta must be finite")
     fields = [_on_grid(scene, probe)]
-    for delta in deltas:
-        out = _cross_cell(scene, probe, delta)
+    for delta, out in zip(deltas, _cross_cell(scene, probe, deltas)):
+        if isinstance(out, GuardBandError):
+            raise out
         if is_opaque(probe, out):
             raise ZeroPowerError(
                 f"cell opaque at {delta / TWO_PI:.9g} Hz: the field fell below "
@@ -316,10 +381,11 @@ def detuning_sweep(
     (rays.ray_exits), which equal run_point's RK4 traces at 9 significant
     digits (within 1e-11 relative on the stock, near-resonance and
     imaging rows) and do not read ``scene.ray_steps``; a row whose angle
-    it cannot certify is run_point.
-    It then runs the wave half row by row.  A shorter sweep is run_point
-    row by row.  ``threads`` is accepted for compatibility and has no
-    effect.  It must be at least 1 when given.
+    it cannot certify is run_point.  The certified rows then cross the
+    cell together, in stacks of at most STACK_SAMPLES samples (see
+    _cross_cell).  A shorter sweep is run_point row by row.  ``threads``
+    is accepted for compatibility and has no effect.  It must be at least
+    1 when given.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -336,10 +402,12 @@ def detuning_sweep(
     thetas, paraxial, certified = ray_exits(
         deltas, scene.probe.offset, scene.medium, scene.control
     )
+    certified = certified.tolist()
+    wave_rows = _wave_rows(scene, [d for d, sure in zip(deltas, certified) if sure])
     return [
-        _ray_row(scene, delta, theta, flag) if sure else run_point(scene, delta)
+        _with_ray(next(wave_rows), theta, flag) if sure else run_point(scene, delta)
         for delta, theta, flag, sure in zip(
-            deltas, thetas.tolist(), paraxial.tolist(), certified.tolist()
+            deltas, thetas.tolist(), paraxial.tolist(), certified
         )
     ]
 
@@ -359,8 +427,7 @@ def angular_dispersion(
         raise ValueError("step must be positive and finite")
     if not math.isfinite(d_ref):
         raise ValueError("d_ref must be finite")
-    hi = _wave_point(scene, d_ref + step)
-    lo = _wave_point(scene, d_ref - step)
+    hi, lo = _wave_rows(scene, [d_ref + step, d_ref - step])
     diff = hi.theta_wave - lo.theta_wave
     slope = diff / (2.0 * step)
     lam_per_rad = scene.medium.wavelength**2 / (TWO_PI * C_LIGHT) * 1e7  # nm s/rad
@@ -375,8 +442,7 @@ def _spots_resolved(
     far-field spots.  Returns (centroid distance, mean spot width); the
     spots are resolved when the distance is at least the width.  Returns
     None when either spot carries no usable power."""
-    a = _wave_point(scene, d_ref - 0.5 * separation)
-    b = _wave_point(scene, d_ref + 0.5 * separation)
+    a, b = _wave_rows(scene, [d_ref - 0.5 * separation, d_ref + 0.5 * separation])
     if not (math.isfinite(a.far_centroid) and math.isfinite(b.far_centroid)):
         return None
     return abs(b.far_centroid - a.far_centroid), 0.5 * (a.far_width + b.far_width)

@@ -1,4 +1,5 @@
-"""Scalar wave propagation on a 1-D transverse grid.
+"""Wave propagation on a 1-D transverse grid: one field through free
+space, or a stack of rows, one per detuning, through the vapor cell.
 
 Fields are sampled complex envelopes E(x) with the carrier exp(i k0 z)
 factored out; intensity is |E|^2 and power is the trapezoid-free Riemann
@@ -12,6 +13,10 @@ propagating spectra.  Propagation through the vapor uses symmetric
 split-step Fourier: a half free step, then alternating phase screens
 exp(i k0 (n(x) - 1) dz) and full free steps, ending with a half free step.
 The medium is z-uniform so one screen is reused for every slice.
+propagate_stack runs that loop once for a (B, N) stack of rows that share
+the launch field, each row with its own detuning's screen, and FFTs along
+the last axis; each row comes out bit for bit as it would alone.
+propagate_medium is its stack of one row.
 
 Aliasing is policed rather than hidden: every propagation step checks that
 the outermost 5% of samples on each side stay below 1e-6 of the field's
@@ -20,10 +25,11 @@ field fails the check.  The detector readout checks the spectrum the same
 way at the Nyquist edge and raises AliasingError.  Diagnostics on fields
 with zero power raise ZeroPowerError instead of returning garbage.
 
-propagate_medium stops early, without error, once the field is opaque:
+A crossing stops a row early, without error, once its field is opaque:
 its peak below OPAQUE_LEVEL of the launch peak, a power fraction near
 1e-20 and far under the FFT round-off.  That test runs before the guard,
-whose reference peak has by then collapsed too.
+whose reference peak has by then collapsed too.  A row that stops, or
+trips the guard, leaves the stack.
 
 far_field_moments reads the detector spot without a far-field grid: under
 the exact kernel the centroid moves linearly and the second moment
@@ -34,6 +40,7 @@ the spot at any distance from one FFT pair.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +58,7 @@ __all__ = [
     "gaussian_beam_field",
     "propagate_free",
     "propagate_medium",
+    "propagate_stack",
     "is_opaque",
     "far_field_moments",
     "power",
@@ -228,41 +236,113 @@ def propagate_medium(
 ) -> TransverseField:
     """Propagate through the vapor cell at two-photon detuning ``delta``.
 
-    Symmetric split-step with ``n_slices`` phase screens over the cell
-    length; the index profile does not vary along z, so the screen is
-    computed once.  The guard band is checked after every slice.  The
-    propagation ends, before that check, after the first slice whose field
-    is opaque (see is_opaque), and returns the field at that plane, whose
-    ``z`` then lies inside the cell.
+    The crossing of propagate_stack for a stack of one row.  The guard
+    band is checked after every slice, and a trip raises GuardBandError.
+    The propagation ends, before that check, after the first slice whose
+    field is opaque (see is_opaque), and returns the field at that plane,
+    whose ``z`` then lies inside the cell.
     """
-    if not math.isfinite(delta):
+    (out,) = propagate_stack(field, [delta], p, c, n_slices)
+    if isinstance(out, GuardBandError):
+        raise out
+    return out
+
+
+def propagate_stack(
+    field: TransverseField,
+    deltas: Sequence[float],
+    p: MediumParams,
+    c: ControlField,
+    n_slices: int,
+) -> list[TransverseField | GuardBandError]:
+    """Cross the vapor cell with ``field`` at each two-photon detuning in
+    ``deltas``: one symmetric split-step loop over a (B, N) stack of rows
+    that share the launch field and its grid.
+
+    Each row has its own phase screen, from one index_profile per
+    detuning; the index does not vary along z, so a screen serves every
+    slice.  The free-space kernels are computed once for the stack, and
+    the FFTs run along the last axis.  After every slice each row is
+    checked as a lone crossing would be: a row whose field is opaque (see
+    is_opaque) stops at that plane, before the guard check, and a row
+    that fails the guard band stops with a GuardBandError.  A row that
+    stops leaves the stack.
+
+    Returns, in the order of ``deltas``, each row's exit field, whose
+    ``z`` lies inside the cell when it stopped opaque, or its
+    GuardBandError.  A row equals the same row crossed alone, bit for
+    bit.  The stack holds len(deltas) rows of the grid's samples, so the
+    caller bounds its size.
+    """
+    if not all(math.isfinite(delta) for delta in deltas):
         raise ValueError("delta must be finite")
     if n_slices < 50:
         raise ValueError("n_slices must be at least 50")
     if field.wavelength != p.wavelength:
         raise ValueError("field and medium wavelengths disagree")
     dz = p.cell_length / n_slices
-    n_x = index_profile(delta, field.grid.xs(), p, c)
-    screen = np.exp(1j * field.k0 * (n_x - 1.0) * dz)
+    xs = field.grid.xs()
+    screens = np.empty((len(deltas), field.grid.n_points), dtype=complex)
+    for screen, delta in zip(screens, deltas):
+        n_x = index_profile(delta, xs, p, c)
+        np.exp(1j * field.k0 * (n_x - 1.0) * dz, out=screen)
     half = _free_kernel(field, 0.5 * dz)
     full = _free_kernel(field, dz)
-    floor = OPAQUE_LEVEL * np.abs(field.amplitude).max()
-    # The forward FFT allocates the one complex128 buffer that every slice
-    # then updates in place (``out=`` needs numpy >= 2.0); the caller's
+    floor = float(OPAQUE_LEVEL * np.abs(field.amplitude).max())
+    nb = max(1, int(round(GUARD_FRACTION * field.grid.n_points)))
+    bands = [0, nb, field.grid.n_points - nb]
+    # The launch half step is the same for every row.  The stack is then
+    # updated in place (``out=`` needs numpy >= 2.0); the caller's
     # amplitude is never written.
-    a = np.fft.fft(np.asarray(field.amplitude, dtype=complex))
-    a *= half
-    np.fft.ifft(a, out=a)
-    z = field.z
+    launch = np.fft.fft(np.asarray(field.amplitude, dtype=complex))
+    launch *= half
+    np.fft.ifft(launch, out=launch)
+    a = np.repeat(launch[np.newaxis], len(deltas), axis=0)
+    # (1, N) kernels: a stack of one row then multiplies without broadcasting.
+    half, full = half[np.newaxis], full[np.newaxis]
+    mag = np.empty(a.shape)
+    rows = np.arange(len(deltas))  # the index in ``deltas`` of each stack row
+    outs: list = [None] * len(deltas)
     for i in range(n_slices):
-        a *= screen
-        np.fft.fft(a, out=a)
+        a *= screens
+        np.fft.fft(a, axis=-1, out=a)
         a *= full if i < n_slices - 1 else half
-        np.fft.ifft(a, out=a)
+        np.fft.ifft(a, axis=-1, out=a)
+        # The maxima of |a| over each row's left guard band, middle and
+        # right guard band.  A row whose middle maximum is finite, at least
+        # the opaque floor and above both bands' maxima by 1 / GUARD_LEVEL
+        # passes _check_guard for sure; the others are checked in full.
+        maxima = np.maximum.reduceat(np.abs(a, out=mag), bands, axis=1).tolist()
+        suspects = [
+            j
+            for j, (left, mid, right) in enumerate(maxima)
+            if not (floor <= mid and max(left, right) < GUARD_LEVEL * mid < math.inf)
+        ]
+        if not suspects:
+            continue
         z = field.z + (i + 1) * dz
-        if _check_guard(a, z, floor):
-            break
-    return TransverseField(field.grid, field.wavelength, a, z)
+        for j in reversed(suspects):
+            try:
+                if not _check_guard(a[j], z, floor):
+                    continue
+                outs[rows[j]] = TransverseField(
+                    field.grid, field.wavelength, a[j].copy(), z
+                )
+            except GuardBandError as err:
+                # Without its traceback, which would keep this frame and
+                # its stack alive.
+                outs[rows[j]] = err.with_traceback(None)
+            # The row leaves: the last row takes its place, in place, so the
+            # stack never needs a second copy of itself.
+            last = len(rows) - 1
+            a[j], screens[j], rows[j] = a[last], screens[last], rows[last]
+            a, screens, rows, mag = a[:last], screens[:last], rows[:last], mag[:last]
+        if not len(rows):
+            return outs
+    z = field.z + n_slices * dz
+    for j, row in enumerate(rows):
+        outs[row] = TransverseField(field.grid, field.wavelength, a[j], z)
+    return outs
 
 
 def is_opaque(launch: TransverseField, field: TransverseField) -> bool:

@@ -2,14 +2,19 @@
 
 import dataclasses
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eitprism.medium import ControlField, MediumParams, rabi_at
+from eitprism.medium import ControlField, MediumParams, index_profile, rabi_at
 from eitprism.waves import (
+    OPAQUE_LEVEL,
     Grid1D,
     GuardBandError,
+    _check_guard,
+    _free_kernel,
     beam_width,
     centered_grid,
     centroid,
@@ -17,6 +22,7 @@ from eitprism.waves import (
     make_gaussian_probe,
     propagate_free,
     propagate_medium,
+    propagate_stack,
     transmission,
 )
 from eitprism import default_scene, experiment
@@ -32,6 +38,13 @@ from eitprism.experiment import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+DATA = Path(__file__).parent / "data"
+
+# The detunings of the stock sweep (+-20 MHz, 101 rows) and of the
+# near-resonance sweep (+-400 kHz, 41 rows), as detuning_sweep spaces them.
+STOCK_DELTAS = [-TWO_PI * 2e7 + i * (TWO_PI * 4e7 / 100) for i in range(101)]
+NEAR_DELTAS = [-TWO_PI * 4e5 + i * (TWO_PI * 8e5 / 40) for i in range(41)]
 
 
 def vacuum_scene(base=None, grid=None):
@@ -230,21 +243,47 @@ def test_run_point_far_detector_needs_no_far_grid():
     assert row.far_width > 0.5 * sc.grid.span
 
 
+def record_crossings(monkeypatch):
+    """Patch both entry points of the crossing in ``experiment``: the
+    returned list gets (rows, grid) for each stack crossed."""
+    crossings = []
+    stack, single = experiment.propagate_stack, experiment.propagate_medium
+
+    def recorded_stack(field, deltas, *args):
+        crossings.append((len(deltas), field.grid))
+        return stack(field, deltas, *args)
+
+    def recorded_single(field, *args):
+        crossings.append((1, field.grid))
+        return single(field, *args)
+
+    monkeypatch.setattr(experiment, "propagate_stack", recorded_stack)
+    monkeypatch.setattr(experiment, "propagate_medium", recorded_single)
+    return crossings
+
+
+def walk_scene():
+    # A 0.3 mm probe gets a 512-point window.  Through a 15 cm cell at
+    # -300 kHz it walks off that window; at 0 to 200 kHz it stays on it.
+    base = default_scene()
+    return dataclasses.replace(
+        base,
+        medium=dataclasses.replace(base.medium, cell_length=15.0),
+        probe=dataclasses.replace(base.probe, waist=0.03),
+    )
+
+
 def test_row_runs_on_probe_window(monkeypatch):
     # A row propagates on a power-of-two window of the scene grid that
     # spans 12 probe waists, at the scene's dx and on its samples, centred
-    # on the probe: 1024 of the stock 16384 points.
-    grids = []
-    real = experiment.propagate_medium
-
-    def recorded(field, *args):
-        grids.append(field.grid)
-        return real(field, *args)
-
-    monkeypatch.setattr(experiment, "propagate_medium", recorded)
+    # on the probe: 1024 of the stock 16384 points.  A stack of rows, such
+    # as the dispersion pair, crosses on the same window.
+    crossings = record_crossings(monkeypatch)
     sc = default_scene()
     run_point(sc, TWO_PI * 1e5)
-    (g,) = grids
+    angular_dispersion(sc)
+    (one, g), (two, pair_grid) = crossings
+    assert (one, two) == (1, 2) and pair_grid == g
     assert g.n_points == 1024 and g.dx == sc.grid.dx
     start = (g.x0 - sc.grid.x0) / sc.grid.dx
     assert start == pytest.approx(round(start), abs=1e-6)
@@ -262,34 +301,153 @@ def test_row_runs_on_probe_window(monkeypatch):
 
 
 def test_row_crosses_whole_grid_after_window_trip(monkeypatch):
-    # A 0.3 mm probe gets a 512-point window.  Through a 15 cm cell at
-    # -300 kHz it walks off that window, and the crossing is run again on
-    # the whole grid, where the row is readable.
-    grids = []
-    real = experiment.propagate_medium
-
-    def recorded(field, *args):
-        grids.append(field.grid)
-        return real(field, *args)
-
-    monkeypatch.setattr(experiment, "propagate_medium", recorded)
-    base = default_scene()
-    sc = dataclasses.replace(
-        base,
-        medium=dataclasses.replace(base.medium, cell_length=15.0),
-        probe=dataclasses.replace(base.probe, waist=0.03),
-    )
+    # The walk at -300 kHz trips the guard on the window, and the crossing
+    # is run again on the whole grid, where the row is readable.  In a
+    # stack only that row is run again; the others keep the window.
+    crossings = record_crossings(monkeypatch)
+    sc = walk_scene()
     delta = TWO_PI * -3e5
     row = experiment._wave_point(sc, delta)
     assert row.flags == ("low_power",)
-    window, whole = grids
+    (_, window), (_, whole) = crossings
     assert window.n_points == 512 and window.dx == sc.grid.dx
     assert whole == sc.grid
     probe = make_gaussian_probe(
         sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset
     )
-    out = real(probe, delta, sc.medium, sc.control, sc.n_slices)
+    out = propagate_medium(probe, delta, sc.medium, sc.control, sc.n_slices)
     assert row.transmission == pytest.approx(transmission(probe, out), rel=1e-9)
+    crossings.clear()
+    rows = list(experiment._wave_rows(sc, [0.0, delta, TWO_PI * 1e5]))
+    assert crossings == [(3, window), (1, whole)]
+    assert repr(rows[1]) == repr(row)
+    assert rows[0].flags == rows[2].flags == ()
+
+
+def lone_crossing(field, delta, p, c, n_slices):
+    """The crossing of one row by itself, as the plain 1-D split-step
+    loop with the guard check after every slice: (outcome, amplitude, z),
+    the outcome "readable", "opaque" or the guard's message."""
+    dz = p.cell_length / n_slices
+    n_x = index_profile(delta, field.grid.xs(), p, c)
+    screen = np.exp(1j * field.k0 * (n_x - 1.0) * dz)
+    half, full = _free_kernel(field, 0.5 * dz), _free_kernel(field, dz)
+    floor = OPAQUE_LEVEL * np.abs(field.amplitude).max()
+    a = np.fft.ifft(np.fft.fft(field.amplitude) * half)
+    for i in range(n_slices):
+        a = np.fft.ifft(np.fft.fft(a * screen) * (full if i < n_slices - 1 else half))
+        z = field.z + (i + 1) * dz
+        try:
+            if _check_guard(a, z, floor):
+                return "opaque", a, z
+        except GuardBandError as err:
+            return str(err), None, z
+    return "readable", a, z
+
+
+def outcome(probe, out):
+    """(outcome, amplitude, z) of a crossing's result, as lone_crossing
+    gives them; a guard trip carries its z in its message."""
+    if isinstance(out, GuardBandError):
+        return str(out), None, None
+    kind = "opaque" if experiment.is_opaque(probe, out) else "readable"
+    return kind, out.amplitude, out.z
+
+
+def assert_same_crossing(got, want):
+    (kind, a, z), (want_kind, want_a, want_z) = got, want
+    assert kind == want_kind
+    if want_a is not None:
+        assert a.tobytes() == want_a.tobytes()  # bit for bit
+        assert z == want_z
+
+
+@pytest.mark.parametrize("deltas", [NEAR_DELTAS, STOCK_DELTAS], ids=["near", "stock"])
+def test_stack_rows_equal_lone_crossings(deltas):
+    # Every row of one stack equals the same row crossed alone, bit for
+    # bit: exit amplitude, stop z and outcome.  The 41 near-resonance rows
+    # cross the whole cell; 98 of the 101 stock rows stop opaque inside it.
+    sc = default_scene()
+    probe = experiment.launch_probe(sc)
+    args = (sc.medium, sc.control, sc.n_slices)
+    outs = propagate_stack(probe, deltas, *args)
+    kinds = []
+    for delta, out in zip(deltas, outs):
+        got = outcome(probe, out)
+        assert_same_crossing(got, lone_crossing(probe, delta, *args))
+        kinds.append(got[0])
+    want = {"readable": 41} if len(deltas) == 41 else {"readable": 3, "opaque": 98}
+    assert {k: kinds.count(k) for k in set(kinds)} == want
+
+
+def test_mixed_stack_rows_equal_lone_crossings():
+    # One row of a stack walks off the window and is crossed again on the
+    # whole grid; the others stay on the window.  Each equals its lone
+    # crossing bit for bit, on the grid it ended on.
+    sc = walk_scene()
+    probe = experiment.launch_probe(sc)
+    whole = experiment._on_grid(sc, probe)
+    args = (sc.medium, sc.control, sc.n_slices)
+    deltas = [TWO_PI * hz for hz in (-1e5, -3e5, 0.0, 1e5, 2e5)]
+    outs = list(experiment._cross_cell(sc, probe, deltas))
+    for delta, out in zip(deltas, outs):
+        lone = lone_crossing(probe, delta, *args)
+        if delta == TWO_PI * -3e5:
+            assert "enlarge the grid span" in lone[0]
+            assert out.grid == sc.grid
+            lone = lone_crossing(whole, delta, *args)
+        else:
+            assert out.grid == probe.grid
+        assert_same_crossing(outcome(probe, out), lone)
+        assert lone[0] == "readable"
+
+
+def test_stacks_bounded_and_freed(monkeypatch):
+    # No stack the crossing is given holds more than STACK_SAMPLES complex
+    # samples: 32 rows of the stock 1024-point window, 2 rows of the
+    # 16384-point grid for runs again after a window trip.  When a stack
+    # starts, the exit fields of the earlier stacks on its grid are gone
+    # (a window stack's fields wait for the runs again of its trips).
+    crossings = record_crossings(monkeypatch)
+    fields = []
+    crossed = experiment.propagate_stack
+
+    def freed_before(field, deltas, *args):
+        n = field.grid.n_points
+        assert all(ref() is None for m, ref in fields if m == n), "a field lives"
+        outs = crossed(field, deltas, *args)
+        fields.extend(
+            (n, weakref.ref(out)) for out in outs if not isinstance(out, GuardBandError)
+        )
+        return outs
+
+    monkeypatch.setattr(experiment, "propagate_stack", freed_before)
+    rows = detuning_sweep(default_scene(), -TWO_PI * 2e7, TWO_PI * 2e7, 101)
+    assert [r.flags for r in rows].count(("opaque",)) == 98
+    assert [n for n, _ in crossings] == [32, 32, 32, 5]
+    assert {g.n_points for _, g in crossings} == {1024}
+    sc = walk_scene()
+    crossings.clear()
+    rows = list(experiment._wave_rows(sc, [TWO_PI * hz for hz in (-4e5, -3e5, 0, 3e5)]))
+    assert [(n, g.n_points) for n, g in crossings] == [(4, 512), (2, 16384), (1, 16384)]
+    assert all(n * g.n_points <= experiment.STACK_SAMPLES for n, g in crossings)
+    assert experiment.STACK_SAMPLES == 32 * 1024 == 2 * 16384
+
+
+def test_near_resonance_sweep_pinned():
+    # The 41-row +-400 kHz sweep at 9 significant digits, as the CLI writes
+    # it: tests/data holds the rows the sweep gave before the rows crossed
+    # the cell as stacks.
+    rows = detuning_sweep(default_scene(), -TWO_PI * 4e5, TWO_PI * 4e5, 41)
+    assert [r.detuning for r in rows] == NEAR_DELTAS
+    lines = ["detuning_hz,theta_ray_rad,theta_wave_rad,transmission,"
+             "far_centroid_mm,far_width_mm,flags"]
+    for r in rows:
+        values = (r.detuning / TWO_PI, r.theta_ray, r.theta_wave, r.transmission,
+                  r.far_centroid * 10.0, r.far_width * 10.0)
+        lines.append(",".join(["%.9g"] * 6) % values + "," + ";".join(r.flags))
+    text = (DATA / "near_resonance.csv").read_text(encoding="utf-8")
+    assert "\n".join(lines) + "\n" == text
 
 
 def test_probe_launch_failing_guard_raises():
@@ -369,6 +527,7 @@ def test_non_finite_detunings_rejected(monkeypatch, bad):
         raise AssertionError("propagated a non-finite detuning")
 
     monkeypatch.setattr(experiment, "propagate_medium", no_propagation)
+    monkeypatch.setattr(experiment, "propagate_stack", no_propagation)
     sc = default_scene()
     calls = [
         lambda: run_point(sc, bad),
@@ -377,6 +536,8 @@ def test_non_finite_detunings_rejected(monkeypatch, bad):
         lambda: detuning_sweep(sc, bad, bad, 3, threads=2),
         lambda: angular_dispersion(sc, d_ref=bad),
         lambda: spectral_resolution(sc, d_ref=bad),
+        # Before any detuning is crossed, the opaque 5 MHz one included.
+        lambda: experiment.profile(sc, [TWO_PI * 5e6, bad]),
     ]
     for call in calls:
         with pytest.raises(ValueError):
