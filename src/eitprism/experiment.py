@@ -16,9 +16,9 @@ the cell together: _cross_cell runs one split-step loop
 (waves.propagate_stack) for a stack of rows, at most STACK_SAMPLES
 samples at a time, and each stack's exit fields are read out before the
 next stack starts.  A sweep of at least RAY_BATCH_ROWS rows integrates
-all of its rays as one batch (rays.ray_exits) and crosses the cell with
-the rows whose angle the batch certifies as such stacks; a row whose
-angle it cannot certify, and every row of a shorter sweep, is run_point,
+all of its rays as one batch (rays.ray_exits), traces with RK4 only a
+ray whose angle the batch cannot certify, and crosses the cell with all
+of its rows as such stacks; every row of a shorter sweep is run_point,
 a stack of one.  The angular-dispersion slope and each Rayleigh test of
 the spectral-resolution search read only the wave quantities of a pair
 of detunings, so they cross the cell as a stack of two and trace no
@@ -198,11 +198,17 @@ def estimate_parameters() -> tuple[MediumParams, ControlField, float, float]:
 
 def run_point(scene: Scene, delta: float) -> SweepRow:
     """Measure one detuning: trace the ray, propagate the wave, read the detector."""
+    theta, paraxial = _rk4_exit(scene, delta)
+    return _with_ray(_wave_point(scene, delta), theta, paraxial)
+
+
+def _rk4_exit(scene: Scene, delta: float) -> tuple[float, bool]:
+    """The ray half of run_point: the RK4 exit angle at ``scene.ray_steps``
+    and whether the ray left the paraxial regime."""
     traj = trace_ray(
         delta, scene.probe.offset, 0.0, scene.medium, scene.control, scene.ray_steps
     )
-    row = _wave_point(scene, delta)
-    return _with_ray(row, exit_angle(traj), traj.paraxial_violation)
+    return exit_angle(traj), traj.paraxial_violation
 
 
 def _with_ray(row: SweepRow, theta_ray: float, paraxial: bool) -> SweepRow:
@@ -381,11 +387,11 @@ def detuning_sweep(
     (rays.ray_exits), which equal run_point's RK4 traces at 9 significant
     digits (within 1e-11 relative on the stock, near-resonance and
     imaging rows) and do not read ``scene.ray_steps``; a row whose angle
-    it cannot certify is run_point.  The certified rows then cross the
-    cell together, in stacks of at most STACK_SAMPLES samples (see
-    _cross_cell).  A shorter sweep is run_point row by row.  ``threads``
-    is accepted for compatibility and has no effect.  It must be at least
-    1 when given.
+    it cannot certify takes run_point's RK4 angle and flag instead.  All
+    rows then cross the cell together, whatever their ray, in stacks of
+    at most STACK_SAMPLES samples (see _cross_cell).  A shorter sweep is
+    run_point row by row.  ``threads`` is accepted for compatibility and
+    has no effect.  It must be at least 1 when given.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -402,14 +408,13 @@ def detuning_sweep(
     thetas, paraxial, certified = ray_exits(
         deltas, scene.probe.offset, scene.medium, scene.control
     )
-    certified = certified.tolist()
-    wave_rows = _wave_rows(scene, [d for d, sure in zip(deltas, certified) if sure])
-    return [
-        _with_ray(next(wave_rows), theta, flag) if sure else run_point(scene, delta)
+    rays = [
+        (theta, flag) if sure else _rk4_exit(scene, delta)
         for delta, theta, flag, sure in zip(
-            deltas, thetas.tolist(), paraxial.tolist(), certified
+            deltas, thetas.tolist(), paraxial.tolist(), certified.tolist()
         )
     ]
+    return [_with_ray(row, *ray) for row, ray in zip(_wave_rows(scene, deltas), rays)]
 
 
 def angular_dispersion(

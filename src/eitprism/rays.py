@@ -49,23 +49,9 @@ class Trajectory:
     paraxial_violation: bool
 
 
-def _rk4_steps(gradient, x: float, v: float, length: float, n_steps: int):
-    """The RK4 loop: an iterator over the state (x, angle) after each of
-    the ``n_steps`` steps of x'' = gradient(x) over [0, length].
-
-    Rejects a ``length`` that is not positive and finite, a non-finite
-    launch and fewer than one step here, before any step is taken.
-    """
-    if not 0.0 < length < math.inf:
-        raise ValueError("length must be positive and finite")
-    if not (math.isfinite(x) and math.isfinite(v)):
-        raise ValueError("x0 and theta0 must be finite")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    return _rk4_loop(gradient, x, v, length / n_steps, n_steps)
-
-
 def _rk4_loop(gradient, x, v, dz: float, n_steps: int):
+    """The RK4 loop: an iterator over the state (x, angle) after each of
+    ``n_steps`` steps of ``dz`` of x'' = gradient(x)."""
     half = 0.5 * dz
     for _ in range(n_steps):
         k1v = gradient(x)
@@ -93,9 +79,16 @@ def integrate_gradient(
     ``gradient`` maps transverse position to d(Re n)/dx.  Returns the full
     trajectory including the launch state; z is strictly increasing.  The
     paraxial flag is set when any |angle| reaches PARAXIAL_LIMIT.  Rejects
-    a ``length`` that is not positive and finite and a non-finite launch.
+    a ``length`` that is not positive and finite, a non-finite launch and
+    fewer than one step, before any step is taken.
     """
-    steps = _rk4_steps(gradient, x0, theta0, length, n_steps)
+    if not 0.0 < length < math.inf:
+        raise ValueError("length must be positive and finite")
+    if not (math.isfinite(x0) and math.isfinite(theta0)):
+        raise ValueError("x0 and theta0 must be finite")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    steps = _rk4_loop(gradient, x0, theta0, length / n_steps, n_steps)
     # np.fromiter drains the steps without a Python-level loop per step.
     xv = np.fromiter(
         chain((x0, theta0), chain.from_iterable(steps)), float, 2 * (n_steps + 1)

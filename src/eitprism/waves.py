@@ -139,16 +139,13 @@ class TransverseField:
         return 2.0 * math.pi / self.wavelength
 
 
-def _check_guard(amplitude: np.ndarray, z: float, floor: float = 0.0) -> bool:
-    """Return True, checking nothing more, when the peak |amplitude| is
-    below ``floor``.  Otherwise raise GuardBandError if the outer
-    GUARD_FRACTION of either side reaches GUARD_LEVEL of the peak, and
-    return False.  A zero field passes; a NaN or infinite peak fails,
-    because the comparison chain is then False."""
+def _check_guard(amplitude: np.ndarray, z: float) -> None:
+    """Raise GuardBandError if the outer GUARD_FRACTION of either side of
+    |amplitude| reaches GUARD_LEVEL of its peak.  A zero field passes; a
+    NaN or infinite peak fails, because the comparison chain is then
+    False."""
     a = np.abs(amplitude)
     peak = float(a.max())
-    if peak < floor:
-        return True
     nb = max(1, int(round(GUARD_FRACTION * len(a))))
     edge = float(max(a[:nb].max(), a[-nb:].max()))
     if peak != 0.0 and not edge < GUARD_LEVEL * peak < math.inf:
@@ -156,7 +153,6 @@ def _check_guard(amplitude: np.ndarray, z: float, floor: float = 0.0) -> bool:
             f"edge amplitude {edge / peak:.3e} of peak at z={z:g} cm; "
             "enlarge the grid span"
         )
-    return False
 
 
 def make_gaussian_probe(
@@ -311,7 +307,7 @@ def propagate_stack(
         # The maxima of |a| over each row's left guard band, middle and
         # right guard band.  A row whose middle maximum is finite, at least
         # the opaque floor and above both bands' maxima by 1 / GUARD_LEVEL
-        # passes _check_guard for sure; the others are checked in full.
+        # can neither stop opaque nor fail _check_guard; the rest are tested.
         maxima = np.maximum.reduceat(np.abs(a, out=mag), bands, axis=1).tolist()
         suspects = [
             j
@@ -323,7 +319,10 @@ def propagate_stack(
         z = field.z + (i + 1) * dz
         for j in reversed(suspects):
             try:
-                if not _check_guard(a[j], z, floor):
+                # Opaque, and stopped before the guard check, when each of
+                # the three maxima is below the floor (a NaN one is not).
+                if not all(m < floor for m in maxima[j]):
+                    _check_guard(a[j], z)
                     continue
                 outs[rows[j]] = TransverseField(
                     field.grid, field.wavelength, a[j].copy(), z

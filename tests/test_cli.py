@@ -127,13 +127,13 @@ def test_sweep_byte_determinism(tmp_path):
 
 def test_batched_sweep_determinism(tmp_path, monkeypatch):
     # At RAY_BATCH_ROWS rows a sweep integrates all of its rays as one
-    # batch and certifies every exit angle (it calls no run_point, its RK4
+    # batch and certifies every exit angle (it calls no trace_ray, its RK4
     # fallback); rows and CLI bytes stay the same across thread counts and
     # reruns, opaque NaN rows included.  The batch does not read ray_steps.
     def per_row(*args):
-        raise AssertionError("a batched sweep ran run_point")
+        raise AssertionError("a batched sweep ran trace_ray")
 
-    monkeypatch.setattr(experiment, "run_point", per_row)
+    monkeypatch.setattr(experiment, "trace_ray", per_row)
     n = experiment.RAY_BATCH_ROWS
     sc = dataclasses.replace(default_scene(), ray_steps=1000)
     rows = [experiment.detuning_sweep(sc, -TWO_PI * 1e7, TWO_PI * 1e7, n, threads=t)
@@ -163,6 +163,32 @@ def test_stock_sweep_bytes(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     for name in ("stock_sweep.csv", "stock_sweep.summary.csv"):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def thinned(path, every):
+    """The header, any warning lines and every ``every``-th data row of a
+    CLI CSV, as bytes: the form of the trace and profile files in
+    tests/data."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    notes = [ln for ln in lines[1:] if ln.startswith("#")]
+    data = [ln for ln in lines[1:] if not ln.startswith("#")]
+    return ("\n".join([lines[0]] + notes + data[::every]) + "\n").encode()
+
+
+def test_imaging_bytes(tmp_path):
+    # The imaging workload's outputs, thinned: `eitprism trace` at +-200 kHz
+    # (every 100th of 10001 rows) and `eitprism profile` at its 8 detunings
+    # (every 256th of 16384 rows), as the stock build wrote them.
+    for hz in ("2e5", "-2e5"):
+        out = tmp_path / f"trace_{hz}.csv"
+        assert main(["trace", "--detuning-hz", hz, "--out", str(out)]) == 0
+        assert thinned(out, 100) == (DATA / out.name).read_bytes(), out.name
+    out = tmp_path / "profile_imaging.csv"
+    args = ["profile", "--out", str(out)]
+    for hz in ("1e4", "-1e4", "1e5", "-1e5", "2e5", "-2e5", "4e5", "-4e5"):
+        args += ["--detuning-hz", hz]
+    assert main(args) == 0
+    assert thinned(out, 256) == (DATA / out.name).read_bytes()
 
 
 def test_sweep_vacuum(tmp_path):

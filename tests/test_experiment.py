@@ -337,9 +337,10 @@ def lone_crossing(field, delta, p, c, n_slices):
     for i in range(n_slices):
         a = np.fft.ifft(np.fft.fft(a * screen) * (full if i < n_slices - 1 else half))
         z = field.z + (i + 1) * dz
+        if np.abs(a).max() < floor:
+            return "opaque", a, z
         try:
-            if _check_guard(a, z, floor):
-                return "opaque", a, z
+            _check_guard(a, z)
         except GuardBandError as err:
             return str(err), None, z
     return "readable", a, z
@@ -565,9 +566,11 @@ def test_sweep_ordering_and_thread_independence():
     assert repr(far1) == repr(far4)
 
 
-def test_uncertified_sweep_row_runs_run_point(monkeypatch):
-    # A row whose batch exit angle is not certified is run_point, RK4 at
-    # the scene's ray_steps; the other rows keep the batch's angle.
+def test_uncertified_sweep_rows_cross_in_the_sweep_stack(monkeypatch):
+    # A row whose batch exit angle is not certified takes run_point's RK4
+    # angle at the scene's ray_steps; the other rows keep the batch's
+    # angle.  Every row, certified or not, crosses the cell in the sweep's
+    # one stack, and an uncertified row still equals run_point.
     sc = dataclasses.replace(default_scene(), ray_steps=1000)
     batch = experiment.ray_exits
 
@@ -577,8 +580,10 @@ def test_uncertified_sweep_row_runs_run_point(monkeypatch):
         return thetas, flags, certified
 
     monkeypatch.setattr(experiment, "ray_exits", every_seventh_uncertified)
+    crossings = record_crossings(monkeypatch)
     n = experiment.RAY_BATCH_ROWS
     rows = detuning_sweep(sc, -TWO_PI * 4e5, TWO_PI * 4e5, n)
+    assert crossings == [(n, experiment.launch_probe(sc).grid)]
     deltas = [r.detuning for r in rows]
     thetas = batch(deltas, sc.probe.offset, sc.medium, sc.control)[0]
     for i, row in enumerate(rows):
