@@ -45,7 +45,7 @@ from .experiment import (
     spectral_resolution,
 )
 from .medium import complex_chi, rabi_at, refractive_index
-from .rays import trace_ray
+from .rays import PARAXIAL_LIMIT, trace_ray
 from .waves import GuardBandError, ZeroPowerError
 
 
@@ -162,7 +162,8 @@ def cmd_trace(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     )
     lines = ["z_cm,x_mm,angle_rad"]
     if traj.paraxial_violation:
-        lines.append("# warning: ray left the small-angle regime (|angle| >= 0.5)")
+        warning = "# warning: ray left the small-angle regime (|angle| >= %g)"
+        lines.append(warning % PARAXIAL_LIMIT)
     states = traj.states
     lines += _rows(states[:, 0], states[:, 1] * 10.0, states[:, 2])
     _emit(lines, args.out)

@@ -12,9 +12,8 @@ detector, so the grid need not hold the spot there.  The window cannot
 change an outcome: a crossing that trips the guard on a window narrower
 than the scene grid is run once more on the whole grid, so a beam that
 walks far inside the cell gets the whole grid's result.  Detunings cross
-the cell together: _cross_cell runs one split-step loop
-(waves.propagate_stack) for a stack of rows, at most STACK_SAMPLES
-samples at a time, and each stack's exit fields are read out before the
+the cell together, in waves.propagate_stack's stacks (see _cross_cell),
+and each stack's exit fields are read out before the
 next stack starts.  A sweep of at least RAY_BATCH_ROWS rows integrates
 all of its rays as one batch (rays.ray_exits), traces with RK4 only a
 ray whose angle the batch cannot certify, and crosses the cell with all
@@ -99,13 +98,6 @@ RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
 # because the benchmark's tracer self-test pins a 3-row sweep's trace_ray
 # calls and RK4 step counts.
 RAY_BATCH_ROWS = 30
-
-# Complex samples that one stack of rows crosses the cell with at most
-# (see _cross_cell): 32 rows of the stock 1024-point probe window, or 2
-# rows of the 16384-point scene grid.  Each stack's exit fields are read
-# out before the next stack is crossed, so this bounds the memory of a
-# long sweep's wave half.
-STACK_SAMPLES = 2**15
 
 # Probe waists a row's window spans at least (see _probe_window): the
 # launch sits 6 waists from either edge, where its amplitude is e^-36.  A
@@ -261,44 +253,30 @@ def _cross_cell(
     scene: Scene, probe: TransverseField, deltas: Sequence[float]
 ) -> Iterator[TransverseField | GuardBandError]:
     """``probe``, from launch_probe, through the scene's cell at each
-    detuning of ``deltas``: the one crossing that sweep rows, the summary's
-    pairs and profile share.  Yields, in the order of ``deltas``, the exit
-    field or the GuardBandError of a trip on the scene grid.
-
-    The detunings cross in stacks of at most STACK_SAMPLES samples, one
-    stack after the other (see _cross_stack); a stack's exit fields are
-    dropped once they have been yielded, before the next stack starts."""
-    deltas = list(deltas)
-    size = max(1, STACK_SAMPLES // probe.grid.n_points)
-    for k in range(0, len(deltas), size):
-        yield from _cross_stack(scene, probe, deltas[k : k + size])
-
-
-def _cross_stack(
-    scene: Scene, probe: TransverseField, deltas: list[float]
-) -> Iterator[TransverseField | GuardBandError]:
-    """One stack of _cross_cell: propagate_stack, or propagate_medium, its
-    stack of one row, for a single detuning, so that a lone row's crossing
-    is one call of the public function (the benchmark's tracer counts
-    those).  A row that trips the guard on a window narrower than the
-    scene grid is crossed again with the probe zero-padded onto the whole
-    grid, in stacks of its own, so the window never changes an outcome."""
+    detuning of ``deltas``, in propagate_stack's stacks: the one crossing
+    that sweep rows, the summary's pairs and profile share.  Yields, in
+    order, each exit field or the GuardBandError of a trip on the scene
+    grid.  A row that trips the guard on a window narrower than the scene
+    grid is crossed again alone on the whole grid, so the window never
+    changes an outcome.  A lone crossing is propagate_medium, the stack of
+    one row: one call of the public function, which the benchmark's
+    tracer counts."""
     args = (scene.medium, scene.control, scene.n_slices)
-    if len(deltas) > 1:
-        outs = propagate_stack(probe, deltas, *args)
-    else:
+
+    def alone(field, delta):
         try:
-            outs = [propagate_medium(probe, deltas[0], *args)]
+            return propagate_medium(field, delta, *args)
         except GuardBandError as err:
-            outs = [err]
-    trips = [d for d, out in zip(deltas, outs) if isinstance(out, GuardBandError)]
-    reruns = None
-    if trips and probe.grid != scene.grid:
-        reruns = _cross_cell(scene, _on_grid(scene, probe), trips)
-    for out in outs:
-        if reruns is not None and isinstance(out, GuardBandError):
-            out = next(reruns)
-        yield out
+            return err
+
+    def rerun(delta, out):
+        if isinstance(out, GuardBandError) and probe.grid != scene.grid:
+            return alone(_on_grid(scene, probe), delta)
+        return out
+
+    if len(deltas) == 1:
+        return map(rerun, deltas, [alone(probe, deltas[0])])
+    return map(rerun, deltas, propagate_stack(probe, deltas, *args))
 
 
 def _wave_rows(scene: Scene, deltas: Sequence[float]) -> Iterator[SweepRow]:
@@ -309,8 +287,8 @@ def _wave_rows(scene: Scene, deltas: Sequence[float]) -> Iterator[SweepRow]:
     already fails the guard at launch raises GuardBandError (the grid is
     too narrow for every row)."""
     probe = launch_probe(scene)
-    # map holds no exit field between rows, so each stack's fields are
-    # freed before the next stack is crossed.
+    # map, unlike zip, holds no exit field between rows, here and in
+    # _cross_cell, so a stack's fields are freed before the next is crossed.
     readout = partial(_readout, scene, probe)
     return map(readout, deltas, _cross_cell(scene, probe, deltas))
 
@@ -388,8 +366,8 @@ def detuning_sweep(
     digits (within 1e-11 relative on the stock, near-resonance and
     imaging rows) and do not read ``scene.ray_steps``; a row whose angle
     it cannot certify takes run_point's RK4 angle and flag instead.  All
-    rows then cross the cell together, whatever their ray, in stacks of
-    at most STACK_SAMPLES samples (see _cross_cell).  A shorter sweep is
+    rows then cross the cell together, whatever their ray, in
+    waves.propagate_stack's stacks (see _cross_cell).  A shorter sweep is
     run_point row by row.  ``threads`` is accepted for compatibility and
     has no effect.  It must be at least 1 when given.
     """

@@ -197,7 +197,8 @@ def index_gradient(delta, p: MediumParams, c: ControlField) -> Callable:
     evaluated in the same operation order with np.exp and np.sqrt; numpy's
     complex arithmetic and exp can round the last bits differently from
     Python's.
-    Rejects a ``delta`` with any non-finite element.
+    Rejects a ``delta`` with any non-finite element, or one so large that
+    the closed form's D**2 overflows (|delta| from about 1.2e77 rad/s).
     """
     if not np.isfinite(delta).all():
         raise ValueError("delta must be finite")
@@ -207,6 +208,9 @@ def index_gradient(delta, p: MediumParams, c: ControlField) -> Callable:
         delta = np.asarray(delta, dtype=float)
         exp, sqrt = np.exp, np.sqrt
     rates = (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(rates * rates).all():
+            raise ValueError("delta too large: the ray gradient overflows")
     strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
     four_pi_strength = FOUR_PI * strength
     scale = 2.0 * FOUR_PI / (c.waist * c.waist)

@@ -13,10 +13,10 @@ propagating spectra.  Propagation through the vapor uses symmetric
 split-step Fourier: a half free step, then alternating phase screens
 exp(i k0 (n(x) - 1) dz) and full free steps, ending with a half free step.
 The medium is z-uniform so one screen is reused for every slice.
-propagate_stack runs that loop once for a (B, N) stack of rows that share
-the launch field, each row with its own detuning's screen, and FFTs along
-the last axis; each row comes out bit for bit as it would alone.
-propagate_medium is its stack of one row.
+propagate_stack runs that loop once per stack of at most STACK_SAMPLES
+samples: (B, N) rows that share the launch field, each with its own
+detuning's screen, with FFTs along the last axis; each row comes out bit
+for bit as it would alone.  propagate_medium is its stack of one row.
 
 Aliasing is policed rather than hidden: every propagation step checks that
 the outermost 5% of samples on each side stay below 1e-6 of the field's
@@ -40,7 +40,7 @@ the spot at any distance from one FFT pair.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,6 +73,10 @@ GUARD_LEVEL = 1e-6
 # Peak amplitude, relative to the launch peak, below which a field is
 # opaque (see is_opaque).
 OPAQUE_LEVEL = 1e-10
+
+# Complex samples in one stack of rows at most (see propagate_stack): 32
+# rows of the stock 1024-point probe window, 2 of the 16384-point grid.
+STACK_SAMPLES = 2**15
 
 
 class GuardBandError(RuntimeError):
@@ -250,10 +254,11 @@ def propagate_stack(
     p: MediumParams,
     c: ControlField,
     n_slices: int,
-) -> list[TransverseField | GuardBandError]:
+) -> Iterator[TransverseField | GuardBandError]:
     """Cross the vapor cell with ``field`` at each two-photon detuning in
     ``deltas``: one symmetric split-step loop over a (B, N) stack of rows
-    that share the launch field and its grid.
+    that share the launch field and its grid, per stack of at most
+    STACK_SAMPLES samples.
 
     Each row has its own phase screen, from one index_profile per
     detuning; the index does not vary along z, so a screen serves every
@@ -264,11 +269,11 @@ def propagate_stack(
     that fails the guard band stops with a GuardBandError.  A row that
     stops leaves the stack.
 
-    Returns, in the order of ``deltas``, each row's exit field, whose
+    Yields, in the order of ``deltas``, each row's exit field, whose
     ``z`` lies inside the cell when it stopped opaque, or its
     GuardBandError.  A row equals the same row crossed alone, bit for
-    bit.  The stack holds len(deltas) rows of the grid's samples, so the
-    caller bounds its size.
+    bit.  A stack's rows are all yielded before the next stack is built,
+    so a caller that drops each exit field holds at most one stack.
     """
     if not all(math.isfinite(delta) for delta in deltas):
         raise ValueError("delta must be finite")
@@ -276,6 +281,19 @@ def propagate_stack(
         raise ValueError("n_slices must be at least 50")
     if field.wavelength != p.wavelength:
         raise ValueError("field and medium wavelengths disagree")
+    size = max(1, STACK_SAMPLES // field.grid.n_points)
+    for k in range(0, len(deltas), size):
+        yield from _cross_stack(field, deltas[k : k + size], p, c, n_slices)
+
+
+def _cross_stack(
+    field: TransverseField,
+    deltas: Sequence[float],
+    p: MediumParams,
+    c: ControlField,
+    n_slices: int,
+) -> list[TransverseField | GuardBandError]:
+    """One stack of propagate_stack: the outcomes of ``deltas``' rows."""
     dz = p.cell_length / n_slices
     xs = field.grid.xs()
     screens = np.empty((len(deltas), field.grid.n_points), dtype=complex)

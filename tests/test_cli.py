@@ -444,7 +444,7 @@ def test_trace_paraxial_warning(tmp_path, capsys):
     )
     assert main(["trace", "--config", cfg, "--detuning-hz", "1000"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].startswith("# warning: ray left the small-angle regime")
+    assert lines[1] == "# warning: ray left the small-angle regime (|angle| >= 0.5)"
 
 
 def test_exit_code_bad_config(tmp_path, capsys):
@@ -623,6 +623,25 @@ def test_exit_code_non_finite_detuning(capsys, command, value):
     captured = capsys.readouterr()
     assert "must be finite" in captured.err
     assert captured.out == ""
+
+
+def test_exit_code_huge_detuning(tmp_path, capsys):
+    # A detuning whose ray gradient overflows float64 exits 2 with the
+    # reason, where trace printed NaN rows and sweep wrote NaN theta_ray
+    # rows with no flag.  At 1e76 Hz the trace is still finite.
+    assert main(["trace", "--detuning-hz", "1e77"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: delta too large: the ray gradient overflows\n"
+    assert captured.out == ""
+    out = tmp_path / "huge.csv"
+    sweep = ["sweep", "--out", str(out), "--points", "40"]
+    assert main(sweep + ["--min-hz", "-1e77", "--max-hz", "1e77"]) == 2
+    assert "delta too large" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["trace", "--detuning-hz", "1e76"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + eitprism.RunConfig().ray_steps + 1
+    assert "nan" not in "\n".join(lines)
 
 
 def test_exit_code_threads_zero(tmp_path, capsys):

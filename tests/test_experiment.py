@@ -2,19 +2,18 @@
 
 import dataclasses
 import math
+import tracemalloc
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eitprism.medium import ControlField, MediumParams, index_profile, rabi_at
+from eitprism.medium import ControlField, MediumParams, rabi_at
 from eitprism.waves import (
-    OPAQUE_LEVEL,
     Grid1D,
     GuardBandError,
-    _check_guard,
-    _free_kernel,
     beam_width,
     centered_grid,
     centroid,
@@ -25,7 +24,7 @@ from eitprism.waves import (
     propagate_stack,
     transmission,
 )
-from eitprism import default_scene, experiment
+from eitprism import default_scene, experiment, waves
 from eitprism.experiment import (
     C_LIGHT,
     ProbeSpec,
@@ -36,6 +35,7 @@ from eitprism.experiment import (
     run_point,
     spectral_resolution,
 )
+from reference import lone_crossing
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,21 +244,16 @@ def test_run_point_far_detector_needs_no_far_grid():
 
 
 def record_crossings(monkeypatch):
-    """Patch both entry points of the crossing in ``experiment``: the
-    returned list gets (rows, grid) for each stack crossed."""
+    """Patch the one split-step loop, waves._cross_stack: the returned
+    list gets (rows, grid) for each stack crossed, a lone row included."""
     crossings = []
-    stack, single = experiment.propagate_stack, experiment.propagate_medium
+    crossed = waves._cross_stack
 
-    def recorded_stack(field, deltas, *args):
+    def recorded(field, deltas, *args):
         crossings.append((len(deltas), field.grid))
-        return stack(field, deltas, *args)
+        return crossed(field, deltas, *args)
 
-    def recorded_single(field, *args):
-        crossings.append((1, field.grid))
-        return single(field, *args)
-
-    monkeypatch.setattr(experiment, "propagate_stack", recorded_stack)
-    monkeypatch.setattr(experiment, "propagate_medium", recorded_single)
+    monkeypatch.setattr(waves, "_cross_stack", recorded)
     return crossings
 
 
@@ -324,28 +319,6 @@ def test_row_crosses_whole_grid_after_window_trip(monkeypatch):
     assert rows[0].flags == rows[2].flags == ()
 
 
-def lone_crossing(field, delta, p, c, n_slices):
-    """The crossing of one row by itself, as the plain 1-D split-step
-    loop with the guard check after every slice: (outcome, amplitude, z),
-    the outcome "readable", "opaque" or the guard's message."""
-    dz = p.cell_length / n_slices
-    n_x = index_profile(delta, field.grid.xs(), p, c)
-    screen = np.exp(1j * field.k0 * (n_x - 1.0) * dz)
-    half, full = _free_kernel(field, 0.5 * dz), _free_kernel(field, dz)
-    floor = OPAQUE_LEVEL * np.abs(field.amplitude).max()
-    a = np.fft.ifft(np.fft.fft(field.amplitude) * half)
-    for i in range(n_slices):
-        a = np.fft.ifft(np.fft.fft(a * screen) * (full if i < n_slices - 1 else half))
-        z = field.z + (i + 1) * dz
-        if np.abs(a).max() < floor:
-            return "opaque", a, z
-        try:
-            _check_guard(a, z)
-        except GuardBandError as err:
-            return str(err), None, z
-    return "readable", a, z
-
-
 def outcome(probe, out):
     """(outcome, amplitude, z) of a crossing's result, as lone_crossing
     gives them; a guard trip carries its z in its message."""
@@ -368,10 +341,13 @@ def test_stack_rows_equal_lone_crossings(deltas):
     # Every row of one stack equals the same row crossed alone, bit for
     # bit: exit amplitude, stop z and outcome.  The 41 near-resonance rows
     # cross the whole cell; 98 of the 101 stock rows stop opaque inside it.
+    # The split-step loop is called directly, so each set of rows is one
+    # stack, larger than propagate_stack's bound.
     sc = default_scene()
     probe = experiment.launch_probe(sc)
     args = (sc.medium, sc.control, sc.n_slices)
-    outs = propagate_stack(probe, deltas, *args)
+    outs = waves._cross_stack(probe, deltas, *args)
+    assert len(deltas) * probe.grid.n_points > waves.STACK_SAMPLES
     kinds = []
     for delta, out in zip(deltas, outs):
         got = outcome(probe, out)
@@ -404,14 +380,15 @@ def test_mixed_stack_rows_equal_lone_crossings():
 
 
 def test_stacks_bounded_and_freed(monkeypatch):
-    # No stack the crossing is given holds more than STACK_SAMPLES complex
-    # samples: 32 rows of the stock 1024-point window, 2 rows of the
-    # 16384-point grid for runs again after a window trip.  When a stack
-    # starts, the exit fields of the earlier stacks on its grid are gone
-    # (a window stack's fields wait for the runs again of its trips).
+    # No stack the split-step loop is given holds more than STACK_SAMPLES
+    # complex samples: 32 rows of the stock 1024-point window; a row run
+    # again after a window trip crosses the 16384-point grid alone.  When
+    # a stack starts, the exit fields of the earlier stacks on its grid
+    # are gone (a window stack's fields wait for the runs again of its
+    # trips).
     crossings = record_crossings(monkeypatch)
     fields = []
-    crossed = experiment.propagate_stack
+    crossed = waves._cross_stack
 
     def freed_before(field, deltas, *args):
         n = field.grid.n_points
@@ -422,7 +399,7 @@ def test_stacks_bounded_and_freed(monkeypatch):
         )
         return outs
 
-    monkeypatch.setattr(experiment, "propagate_stack", freed_before)
+    monkeypatch.setattr(waves, "_cross_stack", freed_before)
     rows = detuning_sweep(default_scene(), -TWO_PI * 2e7, TWO_PI * 2e7, 101)
     assert [r.flags for r in rows].count(("opaque",)) == 98
     assert [n for n, _ in crossings] == [32, 32, 32, 5]
@@ -430,9 +407,31 @@ def test_stacks_bounded_and_freed(monkeypatch):
     sc = walk_scene()
     crossings.clear()
     rows = list(experiment._wave_rows(sc, [TWO_PI * hz for hz in (-4e5, -3e5, 0, 3e5)]))
-    assert [(n, g.n_points) for n, g in crossings] == [(4, 512), (2, 16384), (1, 16384)]
-    assert all(n * g.n_points <= experiment.STACK_SAMPLES for n, g in crossings)
-    assert experiment.STACK_SAMPLES == 32 * 1024 == 2 * 16384
+    assert [(n, g.n_points) for n, g in crossings] == [(4, 512)] + [(1, 16384)] * 3
+    assert all(n * g.n_points <= waves.STACK_SAMPLES for n, g in crossings)
+    assert waves.STACK_SAMPLES == 32 * 1024 == 2 * 16384
+
+
+def test_long_stack_memory_bounded():
+    # 200 detunings through the public propagate_stack, consumed row by
+    # row, never hold more than one stack: the peak of traced memory stays
+    # within a small multiple of one stack's working set (its field, its
+    # screens and the field's magnitudes: 2.5 complex samples per sample),
+    # where a single 200-row stack would need six times that.  The rows
+    # lie in the absorption band, so each stops opaque after a slice.
+    sc = default_scene()
+    probe = experiment.launch_probe(sc)
+    deltas = [TWO_PI * (5e6 + 1e3 * k) for k in range(200)]
+    stack_bytes = 2.5 * waves.STACK_SAMPLES * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        outs = propagate_stack(probe, deltas, sc.medium, sc.control, sc.n_slices)
+        opaque = sum(map(partial(experiment.is_opaque, probe), outs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opaque == len(deltas)
+    assert peak < 2.0 * stack_bytes
 
 
 def test_near_resonance_sweep_pinned():

@@ -94,6 +94,28 @@ def test_trace_ray_rejects_non_finite_detuning(bad):
             call()
 
 
+def test_huge_detuning_rejected():
+    # From |delta| near 1.2e77 rad/s the square of the gradient's rate
+    # product overflows float64 and the gradient would come out NaN, so
+    # such a detuning is refused as a non-finite one is.  At 1e76 Hz the
+    # gradient is still finite: 3.0e-210 per cm.
+    sc = default_scene()
+    x = sc.probe.offset
+    huge = TWO_PI * 1e77
+    for call in (
+        lambda: grad_index(huge, x, sc.medium, sc.control),
+        lambda: grad_index(-huge, x, sc.medium, sc.control),
+        lambda: trace_ray(huge, x, 0.0, sc.medium, sc.control, n_steps=100),
+        lambda: ray_exits([0.0, -huge], x, sc.medium, sc.control),
+    ):
+        with pytest.raises(ValueError, match="delta too large"):
+            call()
+    big = TWO_PI * 1e76
+    assert grad_index(big, x, sc.medium, sc.control) == pytest.approx(3.0e-210, rel=0.01)
+    thetas, flags, certified = ray_exits([-big, big], x, sc.medium, sc.control)
+    assert np.isfinite(thetas).all() and certified.all() and not flags.any()
+
+
 def test_vacuum_cell_straight_ray():
     sc = default_scene()
     empty = MediumParams(

@@ -10,18 +10,15 @@ from eitprism.medium import (
     ControlField,
     MediumParams,
     complex_chi,
-    index_profile,
     rabi_at,
     refractive_index,
 )
 from eitprism.waves import (
-    OPAQUE_LEVEL,
     AliasingError,
     Grid1D,
     GuardBandError,
     TransverseField,
     ZeroPowerError,
-    _free_kernel,
     beam_width,
     centered_grid,
     centroid,
@@ -35,6 +32,7 @@ from eitprism.waves import (
     transmission,
 )
 from eitprism import default_scene
+from reference import lone_crossing
 
 TWO_PI = 2.0 * math.pi
 LAM = 7.95e-5  # cm
@@ -186,12 +184,8 @@ def test_split_step_matches_out_of_place_reference():
     out = propagate_medium(f, delta, sc.medium, sc.control, n_slices=n)
 
     dz = sc.medium.cell_length / n
-    n_x = index_profile(delta, f.grid.xs(), sc.medium, sc.control)
-    screen = np.exp(1j * f.k0 * (n_x - 1.0) * dz)
-    half, full = _free_kernel(f, 0.5 * dz), _free_kernel(f, dz)
-    a = np.fft.ifft(np.fft.fft(f.amplitude) * half)
-    for i in range(n):
-        a = np.fft.ifft(np.fft.fft(a * screen) * (full if i < n - 1 else half))
+    kind, a, z = lone_crossing(f, delta, sc.medium, sc.control, n)
+    assert kind == "readable" and z == out.z
     assert np.array_equal(out.amplitude, a)
     assert out.z == f.z + n * dz
 
@@ -223,17 +217,11 @@ def test_opaque_stop():
     stopped = propagate_medium(f, delta, sc.medium, sc.control, n)
 
     dz = sc.medium.cell_length / n
-    n_x = index_profile(delta, f.grid.xs(), sc.medium, sc.control)
-    screen = np.exp(1j * f.k0 * (n_x - 1.0) * dz)
-    half, full = _free_kernel(f, 0.5 * dz), _free_kernel(f, dz)
-    floor = OPAQUE_LEVEL * np.abs(f.amplitude).max()
-    a = np.fft.ifft(np.fft.fft(f.amplitude) * half)
-    for i in range(n):
-        a = np.fft.ifft(np.fft.fft(a * screen) * (full if i < n - 1 else half))
-        if np.abs(a).max() < floor:
-            break
-    assert 0 < i < n - 1  # the stop lies inside the cell, after the launch
-    assert stopped.z == f.z + (i + 1) * dz
+    kind, a, z = lone_crossing(f, delta, sc.medium, sc.control, n)
+    assert kind == "opaque"
+    # The stop lies inside the cell, after the launch.
+    assert f.z + dz < z < f.z + n * dz
+    assert stopped.z == z
     assert np.array_equal(stopped.amplitude, a)
     assert is_opaque(f, stopped)
     assert 0.0 <= transmission(f, stopped) <= 1e-19
