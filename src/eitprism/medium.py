@@ -128,8 +128,12 @@ def complex_chi(delta, omega: float, p: MediumParams):
 
     Re chi agrees with :func:`re_chi`; Im chi >= 0 (absorption only).
     Uses only arithmetic that broadcasts, so ``delta`` may be an array.
+    Rejects finite inputs that overflow the denominator (|delta| from 1.3e154).
     """
-    den = omega * omega + (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = omega * omega + (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
+    if (np.isinf(den) & np.isfinite(delta)).any():
+        raise ValueError("delta or omega too large: the susceptibility overflows")
     return eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb) / den
 
 
@@ -207,8 +211,8 @@ def index_gradient(delta, p: MediumParams, c: ControlField) -> Callable:
     else:
         delta = np.asarray(delta, dtype=float)
         exp, sqrt = np.exp, np.sqrt
-    rates = (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
     with np.errstate(over="ignore", invalid="ignore"):
+        rates = (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
         if not np.isfinite(rates * rates).all():
             raise ValueError("delta too large: the ray gradient overflows")
     strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)

@@ -13,9 +13,10 @@ step-halving test).  A trajectory is one float64 array of shape
 (n_steps + 1, 3) whose rows are (z, x, angle), launch state first.
 
 A sweep takes its exit angles from exit_angles instead (ray_exits): all
-rays in one batch, launched at rest, by Störmer's rule for x'' = g(x)
-extrapolated to zero step, which also certifies each row.  It falls back
-to trace_ray only for a row it cannot certify.
+rays in one batch, launched at rest, by Störmer's rule for x'' = g(x) at
+every substep count in lockstep, extrapolated to zero step, which also
+certifies each row.  It falls back to trace_ray only for a row it cannot
+certify.
 """
 
 from __future__ import annotations
@@ -136,24 +137,6 @@ CERTIFY_TOL = 1e-12
 FLAG_MARGIN = 0.05
 
 
-def _stormer(gradient, x0, u, v, g, step: float, n: int):
-    """Störmer's rule for x'' = gradient(x): ``n`` substeps across ``step``
-    from x = x0 + u and angle v, with g = gradient(x).  Returns the end
-    state stacked as (u, angle) and the largest |angle| the rule samples,
-    one per substep.  Summing the moves into the displacement u rather
-    than into x keeps the rounding of x out of the sum."""
-    h = step / n
-    d = h * (v + 0.5 * h * g)  # the next move: h times the mid-substep angle
-    moves = [d]
-    for _ in range(n - 1):
-        u = u + d
-        d = d + (h * h) * gradient(x0 + u)
-        moves.append(d)
-    u = u + d
-    end = np.stack((u, d / h + 0.5 * h * gradient(x0 + u)))
-    return end, np.abs(moves).max(axis=0) / h
-
-
 def exit_angles(
     gradient: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, length: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,21 +144,22 @@ def exit_angles(
     one batch.
 
     Ray i starts at x0[i] with angle 0 and obeys x'' = gradient(x).
-    ``gradient`` maps a (B,) array of positions, one per ray, to their
-    gradients elementwise.  Returns three (B,) arrays: the exit angles,
-    the paraxial flags (|angle| reaches PARAXIAL_LIMIT inside the cell)
-    and which rows are certified.  Rejects a non-finite x0 and a
-    ``length`` that is not positive and finite.
+    ``gradient`` maps positions, an array of shape (B,) or (k, B) whose
+    last axis is the rays, to their gradients elementwise.  Returns three
+    (B,) arrays: the exit angles, the paraxial flags (|angle| reaches
+    PARAXIAL_LIMIT inside the cell) and which rows are certified.  Rejects
+    a non-finite x0 and a ``length`` that is not positive and finite.
 
     The cell is crossed in MACRO_STEPS equal steps.  Each is taken by
     Störmer's rule with 2, 4, ..., 2 * EXTRAPOLATIONS substeps, whose
     error expands in even powers of the substep h, and the results are
     extrapolated to h = 0 by Aitken-Neville (Hairer, Norsett & Wanner,
-    Solving ODEs I, section II.14).  The paraxial flag reads the largest
-    |angle| sampled at every substep.  A row is certified when the last
-    two extrapolations' angles, summed over the macro-steps, differ by at
-    most CERTIFY_TOL of that largest |angle| and the flag is clear of
-    PARAXIAL_LIMIT by FLAG_MARGIN.  A turning point needs no special
+    Solving ODEs I, section II.14).  The counts run in lockstep, one row
+    each of a (EXTRAPOLATIONS, B) array.  The paraxial flag reads the
+    largest |angle| sampled at every substep.  A row is certified when the
+    last two extrapolations' angles, summed over the macro-steps, differ
+    by at most CERTIFY_TOL of that largest |angle| and the flag is clear
+    of PARAXIAL_LIMIT by FLAG_MARGIN.  A turning point needs no special
     case, and a ray with g(x0) = 0 stays at rest.  The angle and flag of
     a row that is not certified are not to be used.  A row's result does
     not depend on the other rows.
@@ -188,23 +172,33 @@ def exit_angles(
     if not 0.0 < length < math.inf:
         raise ValueError("length must be positive and finite")
     counts = range(2, 2 * EXTRAPOLATIONS + 1, 2)
-    step = float(length) / MACRO_STEPS
+    h = float(length) / MACRO_STEPS / np.array(counts)[:, np.newaxis]
+    hh, half = h * h, 0.5 * h
     state = np.zeros((2, x0.size))  # displacement from x0 and angle
     peak = error = np.zeros_like(x0)
     # A NaN gradient leaves its row NaN and uncertified, without a warning.
     with np.errstate(all="ignore"):
         for _ in range(MACRO_STEPS):
-            g = gradient(x0 + state[0])
-            row = []
-            for j, n in enumerate(counts):
-                end, top = _stormer(gradient, x0, *state, g, step, n)
-                peak = np.maximum(peak, top)
-                # Aitken-Neville: row[l] extrapolates the last l + 1 counts.
-                below, row = row, [end]
-                for lower, m in zip(below, reversed(counts[:j])):
-                    row.append(row[-1] + (row[-1] - lower) / ((n / m) ** 2 - 1.0))
-            error = error + np.abs(row[-1][1] - row[-2][1])
-            state = row[-1]
+            # d is the next move, h times the mid-substep angle.  Summing the
+            # moves into u rather than x keeps the rounding of x out of it.
+            d = h * (state[1] + half * gradient(x0 + state[0]))
+            u = np.repeat(state[:1], len(counts), axis=0)
+            top = np.abs(d)
+            for k in range(1, counts[-1]):
+                s = slice(k // 2, None)  # substep k moves the counts above k
+                u[s] += d[s]
+                d[s] += hh[s] * gradient(x0 + u[s])
+                np.maximum(top[s], np.abs(d[s]), out=top[s])
+            u += d
+            col = np.stack((u, d / h + half * gradient(x0 + u)), axis=1)
+            peak = np.maximum(peak, (top / h).max(axis=0))
+            # Aitken-Neville by columns; column l's row j extrapolates counts j - l..j.
+            for l in range(1, len(counts)):
+                ratio = [(n / m) ** 2 - 1.0 for n, m in zip(counts[l:], counts)]
+                prev = col
+                col = col[1:] + (col[1:] - col[:-1]) / np.array(ratio)[:, None, None]
+            error = error + np.abs(col[0, 1] - prev[-1, 1])
+            state = col[0]
             peak = np.maximum(peak, np.abs(state[1]))
         certified = (error <= CERTIFY_TOL * peak) & (
             np.abs(peak - PARAXIAL_LIMIT) > FLAG_MARGIN * PARAXIAL_LIMIT

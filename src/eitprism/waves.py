@@ -153,10 +153,12 @@ def _check_guard(amplitude: np.ndarray, z: float) -> None:
     nb = max(1, int(round(GUARD_FRACTION * len(a))))
     edge = float(max(a[:nb].max(), a[-nb:].max()))
     if peak != 0.0 and not edge < GUARD_LEVEL * peak < math.inf:
-        raise GuardBandError(
-            f"edge amplitude {edge / peak:.3e} of peak at z={z:g} cm; "
-            "enlarge the grid span"
-        )
+        raise _guard_error(edge, peak, z)
+
+
+def _guard_error(edge: float, peak: float, z: float) -> GuardBandError:
+    message = f"edge amplitude {edge / peak:.3e} of peak at z={z:g} cm"
+    return GuardBandError(message + "; enlarge the grid span")
 
 
 def make_gaussian_probe(
@@ -274,6 +276,8 @@ def propagate_stack(
     GuardBandError.  A row equals the same row crossed alone, bit for
     bit.  A stack's rows are all yielded before the next stack is built,
     so a caller that drops each exit field holds at most one stack.
+    Rejects a launch field with no power, on which no row could stop
+    opaque.
     """
     if not all(math.isfinite(delta) for delta in deltas):
         raise ValueError("delta must be finite")
@@ -281,6 +285,8 @@ def propagate_stack(
         raise ValueError("n_slices must be at least 50")
     if field.wavelength != p.wavelength:
         raise ValueError("field and medium wavelengths disagree")
+    if OPAQUE_LEVEL * np.abs(field.amplitude).max() == 0.0:
+        raise ValueError("launch field has no power")
     size = max(1, STACK_SAMPLES // field.grid.n_points)
     for k in range(0, len(deltas), size):
         yield from _cross_stack(field, deltas[k : k + size], p, c, n_slices)
@@ -325,30 +331,24 @@ def _cross_stack(
         # The maxima of |a| over each row's left guard band, middle and
         # right guard band.  A row whose middle maximum is finite, at least
         # the opaque floor and above both bands' maxima by 1 / GUARD_LEVEL
-        # can neither stop opaque nor fail _check_guard; the rest are tested.
+        # can neither stop opaque nor fail _check_guard.  The rest stop:
+        # opaque, before the guard check, when each of the three maxima is
+        # below the floor (a NaN one is not), and otherwise on the guard,
+        # whose peak is then NaN, a band's maximum or a middle one at or
+        # over the floor that fails the test.
         maxima = np.maximum.reduceat(np.abs(a, out=mag), bands, axis=1).tolist()
-        suspects = [
-            j
-            for j, (left, mid, right) in enumerate(maxima)
-            if not (floor <= mid and max(left, right) < GUARD_LEVEL * mid < math.inf)
-        ]
-        if not suspects:
-            continue
         z = field.z + (i + 1) * dz
-        for j in reversed(suspects):
-            try:
-                # Opaque, and stopped before the guard check, when each of
-                # the three maxima is below the floor (a NaN one is not).
-                if not all(m < floor for m in maxima[j]):
-                    _check_guard(a[j], z)
-                    continue
+        for j in reversed(range(len(rows))):
+            left, mid, right = maxima[j]
+            if floor <= mid and max(left, right) < GUARD_LEVEL * mid < math.inf:
+                continue
+            if left < floor and mid < floor and right < floor:
                 outs[rows[j]] = TransverseField(
                     field.grid, field.wavelength, a[j].copy(), z
                 )
-            except GuardBandError as err:
-                # Without its traceback, which would keep this frame and
-                # its stack alive.
-                outs[rows[j]] = err.with_traceback(None)
+            else:
+                peak = float(np.max(maxima[j]))
+                outs[rows[j]] = _guard_error(max(left, right), peak, z)
             # The row leaves: the last row takes its place, in place, so the
             # stack never needs a second copy of itself.
             last = len(rows) - 1

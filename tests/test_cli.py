@@ -642,6 +642,20 @@ def test_exit_code_huge_detuning(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + eitprism.RunConfig().ray_steps + 1
     assert "nan" not in "\n".join(lines)
+    # At +-1e160 Hz the rate product of an array of detunings overflows
+    # before its square: sweep warned before it exited 2, and chi warned
+    # and printed chi = 0.  Both exit 2 with one line and no warning.
+    wide = ["--min-hz", "-1e160", "--max-hz", "1e160"]
+    assert main(sweep + wide) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: delta too large: the ray gradient overflows\n"
+    assert captured.out == "" and not out.exists()
+    assert main(["chi", "--points", "3"] + wide) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: delta or omega too large: the susceptibility overflows\n"
+    )
+    assert captured.out == ""
 
 
 def test_exit_code_threads_zero(tmp_path, capsys):

@@ -110,6 +110,21 @@ def test_complex_chi_two_level_limit():
     assert val.imag == pytest.approx(eta(p) * p.gamma_r / p.gamma, rel=1e-12)
 
 
+def test_complex_chi_rejects_overflowing_denominator():
+    # From |delta| near 1.3e154 rad/s the denominator's rate product
+    # overflows, and chi would come out 0 (or NaN) with a RuntimeWarning
+    # for an array.  Such a detuning is refused, alone or in an array; at
+    # 1e153 Hz chi is finite, and falls off as 1/delta.
+    p, omega = ESTIMATE, TWO_PI * 1e6
+    for delta in (TWO_PI * 1e160, np.array([0.0, -TWO_PI * 1e160]), TWO_PI * 1e300):
+        with pytest.raises(ValueError, match="susceptibility overflows"):
+            complex_chi(delta, omega, p)
+    big = TWO_PI * 1e153
+    chi = complex_chi(np.array([-big, big]), omega, p)
+    tail = eta(p) * p.gamma_r / big
+    assert chi.real.tolist() == pytest.approx([tail, -tail], rel=1e-12)
+
+
 def test_real_part_identity_randomized():
     # Deviation is measured against the susceptibility magnitude: both
     # expressions cancel exactly at the curve zeros, where a pointwise

@@ -8,6 +8,8 @@ import pytest
 
 from eitprism.medium import ControlField, MediumParams, eta, grad_index, index_gradient
 from eitprism.rays import (
+    EXTRAPOLATIONS,
+    MACRO_STEPS,
     PARAXIAL_LIMIT,
     Trajectory,
     deflection_estimate,
@@ -19,6 +21,7 @@ from eitprism.rays import (
 )
 from eitprism import RunConfig, default_scene, sweep_bounds
 from eitprism.experiment import estimate_parameters
+from reference import exit_angles_per_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,6 +110,8 @@ def test_huge_detuning_rejected():
         lambda: grad_index(-huge, x, sc.medium, sc.control),
         lambda: trace_ray(huge, x, 0.0, sc.medium, sc.control, n_steps=100),
         lambda: ray_exits([0.0, -huge], x, sc.medium, sc.control),
+        # Here the rate product itself overflows, before its square.
+        lambda: ray_exits([0.0, TWO_PI * 1e160], x, sc.medium, sc.control),
     ):
         with pytest.raises(ValueError, match="delta too large"):
             call()
@@ -515,6 +520,61 @@ def test_batch_validation():
         ray_exits(0.0, sc.probe.offset, sc.medium, sc.control)
     with pytest.raises(ValueError, match="1-D"):
         exit_angles(lambda x: x, 0.0, 1.0)
+
+
+def _assert_bitwise_equal(got, want):
+    np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    np.testing.assert_array_equal(got[1], want[1])
+    np.testing.assert_array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize(
+    "deltas",
+    [STOCK_DELTAS, GRAZING_DELTAS, NEAR_DELTAS],
+    ids=["stock", "grazing", "near"],
+)
+def test_lockstep_counts_match_per_count_reference(deltas):
+    # All substep counts in one array give every element the operations
+    # of the counts run one after another, in the same order: the same
+    # bits.
+    sc = default_scene()
+    gradient = index_gradient(np.array(deltas), sc.medium, sc.control)
+    args = (np.full(len(deltas), sc.probe.offset), sc.medium.cell_length)
+    _assert_bitwise_equal(
+        exit_angles(gradient, *args), exit_angles_per_count(gradient, *args)
+    )
+
+
+def test_lockstep_counts_match_per_count_reference_on_stubs():
+    k, c = 1.3, 0.2
+    harmonic = c + np.array([-0.33, 0.3, 0.05, -0.6])
+    a = np.array([3.7e-4, -2.2e-2, 0.0, 0.3])
+    cases = [(lambda x: -k * k * (x - c), harmonic, t * math.pi / k) for t in (0.3, 2.6)]
+    cases += [
+        (lambda x: a * np.ones_like(x), np.array([0.12, -0.4, 0.3, 0.0]), 2.0),
+        # Rows 1 and 3 have NaN gradients.
+        (lambda x: np.array([1.0, math.nan, -0.5, math.nan]) * x, np.ones(4), 1.0),
+    ]
+    for case in cases:
+        got = exit_angles(*case)
+        _assert_bitwise_equal(got, exit_angles_per_count(*case))
+    assert got[2].tolist() == [True, False, True, False]
+
+
+def test_batch_gradient_calls():
+    # A macro-step evaluates the gradient at its start, after each substep
+    # of the longest count but its last, for the counts that move, and at
+    # the end of every count at once: 14 * 15 = 210 calls a batch, each on
+    # an array whose last axis is the rays.
+    shapes = []
+
+    def gradient(x):
+        shapes.append(x.shape)
+        return -x
+
+    exit_angles(gradient, np.linspace(-1.0, 1.0, 5), 1.0)
+    assert len(shapes) == MACRO_STEPS * (2 * EXTRAPOLATIONS + 1) == 210
+    assert {shape[-1] for shape in shapes} == {5}
 
 
 def _energy_drift(delta, n_steps):

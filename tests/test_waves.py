@@ -14,6 +14,8 @@ from eitprism.medium import (
     refractive_index,
 )
 from eitprism.waves import (
+    GUARD_FRACTION,
+    OPAQUE_LEVEL,
     AliasingError,
     Grid1D,
     GuardBandError,
@@ -31,7 +33,8 @@ from eitprism.waves import (
     propagate_medium,
     transmission,
 )
-from eitprism import default_scene
+from eitprism import default_scene, waves
+import reference
 from reference import lone_crossing
 
 TWO_PI = 2.0 * math.pi
@@ -321,6 +324,58 @@ def test_medium_transmission_even_near_resonance():
     assert t_plus == pytest.approx(t_minus, rel=1e-6)
 
 
+def test_stack_stops_match_the_guard_on_crafted_rows(monkeypatch):
+    # Rows whose screens gain or lose a set number of e-folds per slice,
+    # with the free steps patched to the identity, in one stack.  A row
+    # that stops on the guard takes its message from the three band
+    # maxima of the stack's check; the lone crossing runs _check_guard on
+    # the same row, bit for bit, and must give the same message.
+    sc = default_scene()
+    n = 512
+    probe = make_gaussian_probe(
+        Grid1D(n, 1.0 / 32, -(n - 1) / 64), sc.medium.wavelength, 1.0, 0.0
+    )
+    nb = round(GUARD_FRACTION * n)
+    band = np.zeros(n, bool)
+    band[:nb] = band[-nb:] = True
+    spike = np.arange(n) == n // 2
+    gains = {
+        0.0: np.where(band, 12.0, 0.0),  # the bands grow until they trip
+        1.0: np.where(band, 30.0, -800.0),  # middle below the floor, bands above
+        2.0: np.where(spike, math.nan, 0.0),  # a NaN row
+        3.0: np.where(spike, 704.0, 0.0),  # the inverse FFT overflows: inf
+        4.0: np.zeros(n),  # readable
+    }
+    n_slices = 50
+    dz = sc.medium.cell_length / n_slices
+
+    def profile(delta, xs, p, c):
+        return 1.0 - 1j * gains[delta] / (probe.k0 * dz)
+
+    def identity(field, distance):
+        return np.ones(field.grid.n_points, dtype=complex)
+
+    for module in (waves, reference):
+        monkeypatch.setattr(module, "index_profile", profile)
+        monkeypatch.setattr(module, "_free_kernel", identity)
+    args = (sc.medium, sc.control, n_slices)
+    with np.errstate(over="ignore"):
+        outs = waves._cross_stack(probe, list(gains), *args)
+        lones = [lone_crossing(probe, delta, *args) for delta in gains]
+    got = [str(out) if isinstance(out, GuardBandError) else "readable" for out in outs]
+    assert got == [lone[0] for lone in lones]
+    ratios = [m.split()[2] if m != "readable" else m for m in got]
+    assert 1e-6 < float(ratios[0]) < 1.0
+    assert ratios[1:] == ["1.000e+00", "nan", "0.000e+00", "readable"]
+    assert [lone[2] for lone in lones[1:4]] == [probe.z + dz] * 3
+    # Row 1 stops on its first slice with its middle below the opaque
+    # floor and its bands above it.
+    screen = np.exp(1j * probe.k0 * (profile(1.0, None, None, None) - 1.0) * dz)
+    a = np.fft.ifft(np.fft.fft(np.fft.ifft(np.fft.fft(probe.amplitude)) * screen))
+    left, mid, right = np.maximum.reduceat(np.abs(a), [0, nb, n - nb])
+    assert mid < OPAQUE_LEVEL * np.abs(probe.amplitude).max() < min(left, right)
+
+
 def test_medium_validation():
     sc = default_scene()
     g = small_grid()
@@ -330,6 +385,11 @@ def test_medium_validation():
     other = TransverseField(g, 6.33e-5, f.amplitude, 0.0)
     with pytest.raises(ValueError):
         propagate_medium(other, 0.0, sc.medium, sc.control, n_slices=50)
+    # A launch without power has a zero opaque floor: no row could stop
+    # opaque, and every row would be checked against a zero peak.
+    dark = TransverseField(g, sc.medium.wavelength, np.zeros(g.n_points, complex))
+    with pytest.raises(ValueError, match="no power"):
+        propagate_medium(dark, 0.0, sc.medium, sc.control, n_slices=50)
 
 
 def test_metrics_simple_fields():
