@@ -151,7 +151,9 @@ def cmd_profile(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
 
 
 def cmd_trace(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
-    d_hz = args.detuning_hz[-1] if args.detuning_hz else 0.0
+    d_hz, *more = args.detuning_hz or [0.0]
+    if more:
+        raise ValueError("trace takes one --detuning-hz")
     traj = trace_ray(
         TWO_PI * d_hz,
         scene.probe.offset,

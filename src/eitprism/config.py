@@ -2,10 +2,11 @@
 
 One ``key: value`` pair per line, ``#`` starts a comment, blank lines are
 ignored.  Keys carry their unit in the name (laboratory units: nm, mm, Hz,
-cm^-3); the library itself works in cm and rad/s, and the conversion
-happens exactly once, in :func:`scene_from_config`.  Unknown and duplicate
-keys are errors: a silently ignored typo in a physics run costs more than
-the retype.  An empty document yields the default experiment.
+cm^-3); the library works in cm and rad/s.  :func:`scene_from_config` and
+:func:`sweep_bounds` convert the keys; the CLI converts its detunings from
+Hz and the lengths it prints to mm itself.  Unknown and duplicate keys are
+errors: a silently ignored typo costs more than the retype.  An empty
+document yields the default experiment.
 
 :func:`serialize_config` writes the canonical form (fixed key order,
 shortest float representation), so parse -> serialize -> parse is the

@@ -149,13 +149,14 @@ class SweepRow:
     spectrum, <kx/kz>, which is the far-field centroid drift per unit
     flight distance.  The ``flags`` tuple says why a row needs care rather
     than dropping it: "opaque" when the field died inside the cell (wave
-    quantities NaN; ``transmission`` is the power fraction left where the
-    propagation stopped, an upper bound on the cell's), "guard_band" when
-    the field reached the edge of the scene grid inside the cell (wave
-    quantities and ``transmission`` NaN), "aliased" when the exit spectrum
-    reached the grid's Nyquist edge (wave quantities NaN, ``transmission``
-    kept), "low_power" when the transmission is below LOW_POWER_FLOOR, and
-    "paraxial" when the ray left the small-angle regime.
+    quantities NaN; ``transmission``, the power left where the propagation
+    stopped, means only "at most about 1e-20", as its digits may be
+    round-off), "guard_band" when the field reached the edge of the scene
+    grid inside the cell (wave quantities and ``transmission`` NaN),
+    "aliased" when the exit spectrum reached the grid's Nyquist edge (wave
+    quantities NaN, ``transmission`` kept), "low_power" when the
+    transmission is below LOW_POWER_FLOOR, and "paraxial" when the ray
+    left the small-angle regime.
     """
 
     detuning: float
@@ -190,24 +191,15 @@ def estimate_parameters() -> tuple[MediumParams, ControlField, float, float]:
 
 def run_point(scene: Scene, delta: float) -> SweepRow:
     """Measure one detuning: trace the ray, propagate the wave, read the detector."""
-    theta, paraxial = _rk4_exit(scene, delta)
-    return _with_ray(_wave_point(scene, delta), theta, paraxial)
+    return next(_rows(scene, [delta], [_rk4_exit(scene, delta)]))
 
 
 def _rk4_exit(scene: Scene, delta: float) -> tuple[float, bool]:
-    """The ray half of run_point: the RK4 exit angle at ``scene.ray_steps``
-    and whether the ray left the paraxial regime."""
+    """run_point's ray, (exit angle, paraxial), by RK4 at ``scene.ray_steps``."""
     traj = trace_ray(
         delta, scene.probe.offset, 0.0, scene.medium, scene.control, scene.ray_steps
     )
     return exit_angle(traj), traj.paraxial_violation
-
-
-def _with_ray(row: SweepRow, theta_ray: float, paraxial: bool) -> SweepRow:
-    """The wave half ``row`` with the ray's exit angle and, when
-    ``paraxial``, the "paraxial" flag merged in."""
-    ray_flags = ("paraxial",) if paraxial else ()
-    return replace(row, theta_ray=theta_ray, flags=ray_flags + row.flags)
 
 
 def _probe_window(scene: Scene) -> slice:
@@ -279,47 +271,46 @@ def _cross_cell(
     return map(rerun, deltas, propagate_stack(probe, deltas, *args))
 
 
-def _wave_rows(scene: Scene, deltas: Sequence[float]) -> Iterator[SweepRow]:
-    """Wave halves of run_point at each detuning of ``deltas``, in order:
-    cross the cell on the probe's window of the scene grid (see
-    _cross_cell) and read the detector from each exit field's moments.
-    The rows' ``theta_ray`` is NaN; no ray is traced.  A probe that
-    already fails the guard at launch raises GuardBandError (the grid is
-    too narrow for every row)."""
+def _rows(
+    scene: Scene, deltas: Sequence[float], rays: Sequence[tuple[float, bool]]
+) -> Iterator[SweepRow]:
+    """The rows at ``deltas``, in order, each with its ray of ``rays``
+    (exit angle, paraxial; the summary's pairs pass NaN, False): cross the
+    cell on the probe's window (see _cross_cell) and read the detector from
+    each exit field's moments.  A probe that already fails the guard at
+    launch raises GuardBandError (the grid is too narrow for every row)."""
     probe = launch_probe(scene)
     # map, unlike zip, holds no exit field between rows, here and in
     # _cross_cell, so a stack's fields are freed before the next is crossed.
     readout = partial(_readout, scene, probe)
-    return map(readout, deltas, _cross_cell(scene, probe, deltas))
-
-
-def _wave_point(scene: Scene, delta: float) -> SweepRow:
-    """The wave half of run_point at ``delta`` (see _wave_rows)."""
-    (row,) = _wave_rows(scene, [delta])
-    return row
+    return map(readout, deltas, rays, _cross_cell(scene, probe, deltas))
 
 
 def _readout(
     scene: Scene,
     probe: TransverseField,
     delta: float,
+    ray: tuple[float, bool],
     out: TransverseField | GuardBandError,
 ) -> SweepRow:
-    """The wave row at ``delta`` from its crossing ``out`` of the cell."""
+    """The row at ``delta`` from its ray and its crossing ``out`` of the cell."""
+    theta_ray, paraxial = ray
+    flags = ("paraxial",) if paraxial else ()
     nan = float("nan")
     if isinstance(out, GuardBandError):
-        return SweepRow(delta, nan, nan, nan, nan, nan, ("guard_band",))
+        return SweepRow(delta, theta_ray, nan, nan, nan, nan, flags + ("guard_band",))
     trans = transmission(probe, out)
     if is_opaque(probe, out):
-        return SweepRow(delta, nan, nan, trans, nan, nan, ("opaque",))
-    low = ("low_power",) if trans < LOW_POWER_FLOOR else ()
+        return SweepRow(delta, theta_ray, nan, trans, nan, nan, flags + ("opaque",))
+    if trans < LOW_POWER_FLOOR:
+        flags += ("low_power",)
     try:
         far_centroid, far_width, theta_wave = far_field_moments(
             out, scene.detector_distance
         )
     except AliasingError:
-        return SweepRow(delta, nan, nan, trans, nan, nan, low + ("aliased",))
-    return SweepRow(delta, nan, theta_wave, trans, far_centroid, far_width, low)
+        return SweepRow(delta, theta_ray, nan, trans, nan, nan, flags + ("aliased",))
+    return SweepRow(delta, theta_ray, theta_wave, trans, far_centroid, far_width, flags)
 
 
 def profile(scene: Scene, deltas: Sequence[float]) -> list[TransverseField]:
@@ -392,7 +383,7 @@ def detuning_sweep(
             deltas, thetas.tolist(), paraxial.tolist(), certified.tolist()
         )
     ]
-    return [_with_ray(row, *ray) for row, ray in zip(_wave_rows(scene, deltas), rays)]
+    return list(_rows(scene, deltas, rays))
 
 
 def angular_dispersion(
@@ -410,7 +401,7 @@ def angular_dispersion(
         raise ValueError("step must be positive and finite")
     if not math.isfinite(d_ref):
         raise ValueError("d_ref must be finite")
-    hi, lo = _wave_rows(scene, [d_ref + step, d_ref - step])
+    hi, lo = _rows(scene, [d_ref + step, d_ref - step], [(math.nan, False)] * 2)
     diff = hi.theta_wave - lo.theta_wave
     slope = diff / (2.0 * step)
     lam_per_rad = scene.medium.wavelength**2 / (TWO_PI * C_LIGHT) * 1e7  # nm s/rad
@@ -425,7 +416,8 @@ def _spots_resolved(
     far-field spots.  Returns (centroid distance, mean spot width); the
     spots are resolved when the distance is at least the width.  Returns
     None when either spot carries no usable power."""
-    a, b = _wave_rows(scene, [d_ref - 0.5 * separation, d_ref + 0.5 * separation])
+    pair = [d_ref - 0.5 * separation, d_ref + 0.5 * separation]
+    a, b = _rows(scene, pair, [(math.nan, False)] * 2)
     if not (math.isfinite(a.far_centroid) and math.isfinite(b.far_centroid)):
         return None
     return abs(b.far_centroid - a.far_centroid), 0.5 * (a.far_width + b.far_width)

@@ -447,6 +447,29 @@ def test_trace_paraxial_warning(tmp_path, capsys):
     assert lines[1] == "# warning: ray left the small-angle regime (|angle| >= 0.5)"
 
 
+def test_trace_repeated_detuning_rejected(tmp_path, capsys):
+    # trace draws one ray: a second --detuning-hz is an error, where it
+    # traced only the last one and exited 0.  Nothing is written.
+    out = tmp_path / "trace.csv"
+    argv = ["trace", "--detuning-hz", "1e5", "--detuning-hz", "2e5"]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: trace takes one --detuning-hz\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_sweep_csv_prints_paraxial_flag(tmp_path):
+    # At 2e12 cm^-3 the ray at +6.67 MHz, the fifth row of a 7-row stock
+    # sweep, leaves the small-angle regime and the cell is opaque there:
+    # the CSV joins the ray's flag ahead of the wave's.
+    cfg = write_config(tmp_path, "density_cm3: 2e12\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--points", "7", "--out", str(out)]) == 0
+    _, rows = rows_of(out.read_text())
+    flags = [r[-1] for r in rows]
+    assert flags == ["opaque"] * 3 + ["low_power", "paraxial;opaque"] + ["opaque"] * 2
+
+
 def test_exit_code_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "no_such_knob: 1\n")
     assert main(["chi", "--config", cfg]) == 2
@@ -541,7 +564,7 @@ def test_exit_code_profile_walks_off_window(tmp_path, capsys):
     # The sweep row at that detuning gets the whole grid's outcome too.
     sc = scene_from_config(parse_config(WALK_KEYS))
     delta = TWO_PI * -175e3
-    row = experiment._wave_point(sc, delta)
+    row = experiment.run_point(sc, delta)
     assert row.flags == ("opaque",)
     probe = make_gaussian_probe(
         sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset

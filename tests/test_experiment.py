@@ -39,6 +39,9 @@ from reference import lone_crossing
 
 TWO_PI = 2.0 * math.pi
 
+# The ray the summary's pairs give their rows: none traced.
+NO_RAY = (math.nan, False)
+
 DATA = Path(__file__).parent / "data"
 
 # The detunings of the stock sweep (+-20 MHz, 101 rows) and of the
@@ -292,7 +295,7 @@ def test_row_runs_on_probe_window(monkeypatch):
         sc, grid=Grid1D(g.n_points, g.dx, sc.probe.offset - 0.2 * g.span)
     )
     with pytest.raises(ValueError, match="central half"):
-        experiment._wave_point(off, 0.0)
+        run_point(off, 0.0)
 
 
 def test_row_crosses_whole_grid_after_window_trip(monkeypatch):
@@ -302,7 +305,7 @@ def test_row_crosses_whole_grid_after_window_trip(monkeypatch):
     crossings = record_crossings(monkeypatch)
     sc = walk_scene()
     delta = TWO_PI * -3e5
-    row = experiment._wave_point(sc, delta)
+    (row,) = experiment._rows(sc, [delta], [NO_RAY])
     assert row.flags == ("low_power",)
     (_, window), (_, whole) = crossings
     assert window.n_points == 512 and window.dx == sc.grid.dx
@@ -313,7 +316,7 @@ def test_row_crosses_whole_grid_after_window_trip(monkeypatch):
     out = propagate_medium(probe, delta, sc.medium, sc.control, sc.n_slices)
     assert row.transmission == pytest.approx(transmission(probe, out), rel=1e-9)
     crossings.clear()
-    rows = list(experiment._wave_rows(sc, [0.0, delta, TWO_PI * 1e5]))
+    rows = list(experiment._rows(sc, [0.0, delta, TWO_PI * 1e5], [NO_RAY] * 3))
     assert crossings == [(3, window), (1, whole)]
     assert repr(rows[1]) == repr(row)
     assert rows[0].flags == rows[2].flags == ()
@@ -406,7 +409,8 @@ def test_stacks_bounded_and_freed(monkeypatch):
     assert {g.n_points for _, g in crossings} == {1024}
     sc = walk_scene()
     crossings.clear()
-    rows = list(experiment._wave_rows(sc, [TWO_PI * hz for hz in (-4e5, -3e5, 0, 3e5)]))
+    deltas = [TWO_PI * hz for hz in (-4e5, -3e5, 0, 3e5)]
+    rows = list(experiment._rows(sc, deltas, [NO_RAY] * 4))
     assert [(n, g.n_points) for n, g in crossings] == [(4, 512)] + [(1, 16384)] * 3
     assert all(n * g.n_points <= waves.STACK_SAMPLES for n, g in crossings)
     assert waves.STACK_SAMPLES == 32 * 1024 == 2 * 16384
@@ -592,6 +596,38 @@ def test_uncertified_sweep_rows_cross_in_the_sweep_stack(monkeypatch):
             assert row.theta_ray == thetas[i]
     # RK4 rounds differently from the batch in the last bits.
     assert any(rows[i].theta_ray != thetas[i] for i in range(0, n, 7))
+
+
+def test_paraxial_rows_carry_the_flag():
+    # At 2e12 cm^-3 the rays of 12 rows of the stock +-20 MHz sweep leave
+    # the small-angle regime; all 12 stop opaque in the cell.  Rows 38
+    # (-4.8 MHz) and 56 (+2.4 MHz) take a certified batch ray, the other
+    # 10 the RK4 fallback, which 17 rows take in all.  Each row's flags
+    # lead with "paraxial", ahead of the wave's, as run_point's do.
+    base = default_scene()
+    sc = dataclasses.replace(base, medium=dataclasses.replace(base.medium, density=2e12))
+    rows = detuning_sweep(sc, -TWO_PI * 2e7, TWO_PI * 2e7, 101)
+    certified = experiment.ray_exits(
+        [r.detuning for r in rows], sc.probe.offset, sc.medium, sc.control
+    )[2]
+    assert certified.tolist().count(False) == 17
+    paraxial = [35, 36, 37, 38, 39, 55, 56, 57, 58, 59, 66, 67]
+    assert [i for i, r in enumerate(rows) if "paraxial" in r.flags] == paraxial
+    assert [i for i in paraxial if certified[i]] == [38, 56]
+    for i in paraxial:
+        row, ref = rows[i], run_point(sc, rows[i].detuning)
+        assert row.flags == ref.flags == ("paraxial", "opaque")
+        if certified[i]:
+            # RK4 rounds differently from the batch in the last bits.
+            assert "%.9g" % row.theta_ray == "%.9g" % ref.theta_ray
+        else:
+            assert repr(row) == repr(ref)
+    # A short sweep is run_point row by row; its +6.67 MHz row is paraxial.
+    short = detuning_sweep(sc, -TWO_PI * 2e7, TWO_PI * 2e7, 7)
+    assert [r.flags for r in short] == [
+        ("opaque",), ("opaque",), ("opaque",), ("low_power",),
+        ("paraxial", "opaque"), ("opaque",), ("opaque",),
+    ]
 
 
 def test_sweep_validation():
