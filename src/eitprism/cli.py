@@ -43,6 +43,7 @@ from .experiment import (
     detuning_sweep,
     profile,
     spectral_resolution,
+    sweep_detunings,
 )
 from .medium import complex_chi, rabi_at, refractive_index
 from .rays import PARAXIAL_LIMIT, trace_ray
@@ -78,32 +79,29 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def _sweep_range(cfg: RunConfig, args: argparse.Namespace) -> tuple[float, float, int]:
-    """Sweep start and end in Hz plus point count: the command-line flags
-    override the config's sweep keys, and the result is validated once."""
+    """Sweep start and end in rad/s plus point count from sweep_bounds: the
+    command-line flags override the config's sweep keys."""
     flags = {
         "sweep_min_hz": args.min_hz,
         "sweep_max_hz": args.max_hz,
         "sweep_points": args.points,
     }
-    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    sweep_bounds(cfg)
-    return cfg.sweep_min_hz, cfg.sweep_max_hz, cfg.sweep_points
+    return sweep_bounds(replace(cfg, **{k: v for k, v in flags.items() if v is not None}))
 
 
 def cmd_chi(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
-    lo_hz, hi_hz, n = _sweep_range(cfg, args)
-    d_hz = np.linspace(lo_hz, hi_hz, n)
+    deltas = np.array(sweep_detunings(*_sweep_range(cfg, args)))
     omega = rabi_at(scene.probe.offset, scene.control)
-    chi = complex_chi(TWO_PI * d_hz, omega, scene.medium)
+    chi = complex_chi(deltas, omega, scene.medium)
     index = refractive_index(chi)
     lines = ["detuning_hz,re_chi,im_chi,re_n_minus_1,im_n"]
-    lines += _rows(d_hz, chi.real, chi.imag, index.real - 1.0, index.imag)
+    lines += _rows(deltas / TWO_PI, chi.real, chi.imag, index.real - 1.0, index.imag)
     _emit(lines, args.out)
 
 
 def cmd_sweep(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
-    lo_hz, hi_hz, n = _sweep_range(cfg, args)
-    rows = detuning_sweep(scene, TWO_PI * lo_hz, TWO_PI * hi_hz, n, threads=args.threads)
+    lo, hi, n = _sweep_range(cfg, args)
+    rows = detuning_sweep(scene, lo, hi, n, threads=args.threads)
     lines = [
         "detuning_hz,theta_ray_rad,theta_wave_rad,transmission,"
         "far_centroid_mm,far_width_mm,flags"
@@ -124,9 +122,7 @@ def cmd_sweep(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     _emit(lines, args.out)
 
     slope, noise = angular_dispersion(scene)
-    resolution, cause = spectral_resolution(
-        scene, max_separation=TWO_PI * (hi_hz - lo_hz)
-    )
+    resolution, cause = spectral_resolution(scene, max_separation=hi - lo)
     flags = [f for f in (noise, cause) if f]
     ratio = abs(slope) / GLASS_DISPERSION_PER_NM
     (row,) = _rows([slope], [GLASS_DISPERSION_PER_NM], [ratio], [resolution])

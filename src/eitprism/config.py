@@ -2,11 +2,14 @@
 
 One ``key: value`` pair per line, ``#`` starts a comment, blank lines are
 ignored.  Keys carry their unit in the name (laboratory units: nm, mm, Hz,
-cm^-3); the library works in cm and rad/s.  :func:`scene_from_config` and
-:func:`sweep_bounds` convert the keys; the CLI converts its detunings from
-Hz and the lengths it prints to mm itself.  Unknown and duplicate keys are
-errors: a silently ignored typo costs more than the retype.  An empty
-document yields the default experiment.
+cm^-3); the library works in cm and rad/s.  :func:`scene_from_config`
+converts the scene's keys.  :func:`sweep_bounds` is the one conversion of a
+sweep range, the config's or the CLI flags': ``eitprism chi`` and ``sweep``
+both sample its rad/s range with experiment.sweep_detunings, so they print
+the same detunings.  The CLI converts the detunings of ``profile`` and
+``trace`` from Hz and the lengths it prints to mm itself.  Unknown and
+duplicate keys are errors: a silently ignored typo costs more than the
+retype.  An empty document yields the default experiment.
 
 :func:`serialize_config` writes the canonical form (fixed key order,
 shortest float representation), so parse -> serialize -> parse is the
@@ -158,12 +161,17 @@ def default_scene() -> Scene:
 
 
 def sweep_bounds(cfg: RunConfig) -> tuple[float, float, int]:
-    """Sweep range in rad/s plus point count, validated: the CLI's range
-    flags are folded into ``cfg`` after parse_config checked its values."""
+    """Sweep range in rad/s plus point count, validated: the one conversion
+    of a sweep range.  The CLI's range flags are folded into ``cfg`` after
+    parse_config checked its values.  A range whose bounds or span overflow
+    float64 in rad/s is refused."""
     if cfg.sweep_points < 2:
         raise ConfigError("sweep_points must be at least 2")
     if not (math.isfinite(cfg.sweep_min_hz) and math.isfinite(cfg.sweep_max_hz)):
         raise ConfigError("sweep_min_hz and sweep_max_hz must be finite")
     if not cfg.sweep_max_hz > cfg.sweep_min_hz:
         raise ConfigError("sweep_max_hz must exceed sweep_min_hz")
-    return TWO_PI * cfg.sweep_min_hz, TWO_PI * cfg.sweep_max_hz, cfg.sweep_points
+    lo, hi = TWO_PI * cfg.sweep_min_hz, TWO_PI * cfg.sweep_max_hz
+    if not math.isfinite(hi - lo):
+        raise ConfigError("sweep range overflows float64 in rad/s")
+    return lo, hi, cfg.sweep_points

@@ -67,6 +67,7 @@ __all__ = [
     "launch_probe",
     "profile",
     "detuning_sweep",
+    "sweep_detunings",
     "angular_dispersion",
     "spectral_resolution",
     "GLASS_DISPERSION_PER_NM",
@@ -341,6 +342,19 @@ def profile(scene: Scene, deltas: Sequence[float]) -> list[TransverseField]:
     return fields
 
 
+def sweep_detunings(d_min: float, d_max: float, n_points: int) -> list[float]:
+    """A sweep's detunings: n_points Python floats evenly spaced on [d_min, d_max]."""
+    d_min, d_max = float(d_min), float(d_max)
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
+    if not math.isfinite(d_max - d_min):
+        raise ValueError("sweep bounds and their span must be finite")
+    if not d_max > d_min:
+        raise ValueError("d_max must exceed d_min")
+    step = (d_max - d_min) / (n_points - 1)
+    return (d_min + np.arange(n_points) * step).tolist()
+
+
 def detuning_sweep(
     scene: Scene,
     d_min: float,
@@ -348,8 +362,7 @@ def detuning_sweep(
     n_points: int,
     threads: int | None = None,
 ) -> list[SweepRow]:
-    """The rows of run_point at n_points detunings evenly spaced on
-    [d_min, d_max], in detuning order.
+    """The rows of run_point at sweep_detunings(d_min, d_max, n_points).
 
     A sweep of at least RAY_BATCH_ROWS rows takes its exit angles and
     paraxial flags from one batch of extrapolated Störmer steps
@@ -362,16 +375,9 @@ def detuning_sweep(
     run_point row by row.  ``threads`` is accepted for compatibility and
     has no effect.  It must be at least 1 when given.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    if not (math.isfinite(d_min) and math.isfinite(d_max)):
-        raise ValueError("sweep bounds must be finite")
-    if not d_max > d_min:
-        raise ValueError("d_max must exceed d_min")
+    deltas = sweep_detunings(d_min, d_max, n_points)
     if threads is not None and threads < 1:
         raise ValueError("threads must be at least 1")
-    step = (d_max - d_min) / (n_points - 1)
-    deltas = [d_min + i * step for i in range(n_points)]
     if n_points < RAY_BATCH_ROWS:
         return [run_point(scene, delta) for delta in deltas]
     thetas, paraxial, certified = ray_exits(

@@ -194,8 +194,8 @@ def index_gradient(delta, p: MediumParams, c: ControlField) -> Callable:
     then pays on each call for one exp, one complex square root and the
     x-dependent arithmetic of the closed form in :func:`grad_index`.
 
-    A float ``delta`` gives a function of a float x, evaluated with
-    math.exp and cmath.sqrt.  An array of detunings gives a function of an
+    A scalar ``delta``, taken as a Python float (a numpy scalar too),
+    gives a function of a float x, evaluated with math.exp and cmath.sqrt.  An array of detunings gives a function of an
     array x of the same shape, one position per detuning, or of any shape
     that broadcasts against it (such as (..., B) for B detunings),
     evaluated in the same operation order with np.exp and np.sqrt; numpy's
@@ -207,7 +207,7 @@ def index_gradient(delta, p: MediumParams, c: ControlField) -> Callable:
     if not np.isfinite(delta).all():
         raise ValueError("delta must be finite")
     if np.ndim(delta) == 0:
-        exp, sqrt = math.exp, cmath.sqrt
+        delta, exp, sqrt = float(delta), math.exp, cmath.sqrt
     else:
         delta = np.asarray(delta, dtype=float)
         exp, sqrt = np.exp, np.sqrt

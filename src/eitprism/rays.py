@@ -13,10 +13,10 @@ step-halving test).  A trajectory is one float64 array of shape
 (n_steps + 1, 3) whose rows are (z, x, angle), launch state first.
 
 A sweep takes its exit angles from exit_angles instead (ray_exits): all
-rays in one batch, launched at rest, by Störmer's rule for x'' = g(x) at
-every substep count in lockstep, extrapolated to zero step, which also
-certifies each row.  It falls back to trace_ray only for a row it cannot
-certify.
+rays in one batch (in blocks of at most BLOCK_ROWS rows), launched at
+rest, by Störmer's rule for x'' = g(x) at every substep count in
+lockstep, extrapolated to zero step, which also certifies each row.  It
+falls back to trace_ray only for a row it cannot certify.
 """
 
 from __future__ import annotations
@@ -131,6 +131,11 @@ EXTRAPOLATIONS = 7
 # of the exact angle on the hardest stock rows.
 CERTIFY_TOL = 1e-12
 
+# ray_exits integrates at most this many rows at a time, since
+# exit_angles' temporaries grow with its batch.  Rows are independent, so
+# the blocks change no bit; a stock sweep's 101 rows are one block.
+BLOCK_ROWS = 1024
+
 # A paraxial flag is certified when the largest sampled |angle| lies at
 # least this fraction of PARAXIAL_LIMIT away from it: the samples, one per
 # substep, can miss the true largest |angle| between them.
@@ -211,14 +216,17 @@ def ray_exits(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`exit_angles` for one probe ray per two-photon detuning in
     ``deltas``, each launched at rest from ``x0`` through the cell: the
-    exit angles, paraxial flags and certified rows.  All detunings go
-    through the array form of :func:`index_gradient`."""
+    exit angles, paraxial flags and certified rows.  The detunings go
+    through the array form of :func:`index_gradient` in blocks of at most
+    BLOCK_ROWS rows, whose results are concatenated."""
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1:
         raise ValueError("deltas must be a 1-D array, one detuning per ray")
-    return exit_angles(
-        index_gradient(deltas, p, c), np.full(deltas.shape, float(x0)), p.cell_length
-    )
+    blocks = [
+        exit_angles(index_gradient(d, p, c), np.full(d.shape, float(x0)), p.cell_length)
+        for d in np.split(deltas, range(BLOCK_ROWS, deltas.size, BLOCK_ROWS))
+    ]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def deflection_estimate(

@@ -89,6 +89,34 @@ def test_chi_out_file_bytes(tmp_path):
     assert blob.decode("utf-8").splitlines()[0].startswith("detuning_hz,")
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [([], "chi_stock.csv"),
+     (["--points", "41", "--min-hz", "-4e5", "--max-hz", "4e5"], "chi_near.csv")],
+)
+def test_chi_bytes(tmp_path, flags, name):
+    # `eitprism chi` on the empty config and over the 41-row +-400 kHz
+    # range, byte for byte as tests/data holds them: the files chi wrote
+    # when it sampled its range in Hz with np.linspace.
+    out = tmp_path / name
+    cfg = write_config(tmp_path, "")
+    assert main(["chi", "--config", cfg, *flags, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_chi_and_sweep_print_the_same_detunings(tmp_path, capsys):
+    # Both sample the range sweep_bounds converted, with sweep_detunings.
+    cfg = write_config(tmp_path, FAST_KEYS)
+    span = ["--points", "7", "--min-hz", "-3.3e4", "--max-hz", "7.7e4"]
+    assert main(["chi", "--config", cfg, *span]) == 0
+    _, chi_rows = rows_of(capsys.readouterr().out)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", cfg, *span, "--out", str(out)]) == 0
+    _, sweep_rows = rows_of(out.read_text(encoding="utf-8"))
+    assert [r[0] for r in chi_rows] == [r[0] for r in sweep_rows]
+    assert chi_rows[0][0] == "-33000" and chi_rows[-1][0] == "77000"
+
+
 def test_sweep_files_and_schema(tmp_path):
     cfg = write_config(tmp_path, FAST_KEYS)
     out = tmp_path / "sweep.csv"
@@ -487,7 +515,7 @@ def test_exit_code_bad_range(capsys):
 
 
 def test_exit_code_input_too_large_for_memory(capsys, monkeypatch):
-    # Stands in for `chi --points 1e12`, whose linspace numpy cannot
+    # Stands in for `chi --points 1e12`, whose detunings numpy cannot
     # allocate; a real request that size could get the runner OOM-killed.
     def too_large(cfg, scene, args):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
@@ -507,6 +535,30 @@ def test_exit_code_non_finite_range(capsys, flag):
     captured = capsys.readouterr()
     assert "error: sweep_min_hz and sweep_max_hz must be finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command",
+    [
+        "chi --points 3 --min-hz -1e308 --max-hz 1e308",
+        "chi --points 3 --min-hz -8e307 --max-hz 8e307",
+        "chi --min-hz 1e307 --max-hz 3e307",
+        "sweep --points 3 --min-hz -2e307 --max-hz 2e307",
+    ],
+)
+def test_exit_code_overflowing_range(tmp_path, capsys, command):
+    # Finite in Hz, but the bounds or their span overflow in rad/s: chi
+    # printed nan and inf rows with RuntimeWarnings and exited 0, and sweep
+    # exited 2 blaming a non-finite delta.  sweep_bounds refuses the range.
+    out = tmp_path / "wide.csv"
+    args = command.split()
+    if args[0] == "sweep":
+        args += ["--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sweep range overflows float64 in rad/s\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -127,3 +127,8 @@ def test_sweep_bounds():
                    {"sweep_max_hz": math.nan}, {"sweep_min_hz": math.nan}):
         with pytest.raises(ConfigError, match="finite"):
             sweep_bounds(dataclasses.replace(RunConfig(), **bounds))
+    # Finite in Hz, but the bounds or their span overflow in rad/s.
+    for lo, hi in ((-1e308, 1e308), (1e307, 3e307), (-2e307, 2e307)):
+        cfg = dataclasses.replace(RunConfig(), sweep_min_hz=lo, sweep_max_hz=hi)
+        with pytest.raises(ConfigError, match="overflows"):
+            sweep_bounds(cfg)

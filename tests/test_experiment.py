@@ -34,6 +34,7 @@ from eitprism.experiment import (
     estimate_parameters,
     run_point,
     spectral_resolution,
+    sweep_detunings,
 )
 from reference import lone_crossing
 
@@ -638,6 +639,30 @@ def test_sweep_validation():
         detuning_sweep(sc, 1.0, -1.0, 5)
     with pytest.raises(ValueError):
         detuning_sweep(sc, 0.0, 1.0, 5, threads=0)
+
+
+def test_sweep_detunings():
+    # Python floats on the bounds' grid, whatever type the bounds are.
+    assert sweep_detunings(-TWO_PI * 4e5, TWO_PI * 4e5, 41) == NEAR_DELTAS
+    got = sweep_detunings(np.float64(-TWO_PI * 2e7), np.float64(TWO_PI * 2e7), 101)
+    assert got == STOCK_DELTAS
+    assert {type(d) for d in got} == {float}
+    # Finite bounds whose span overflows: the steps would be inf and NaN.
+    with pytest.raises(ValueError, match="span must be finite"):
+        sweep_detunings(-1.2e308, 1.2e308, 3)
+    with pytest.raises(ValueError, match="span must be finite"):
+        detuning_sweep(default_scene(), -1.2e308, 1.2e308, 3)
+
+
+@pytest.mark.parametrize("n", [5, 41])
+def test_sweep_numpy_scalar_bounds(n):
+    # np.float64 bounds give the rows of Python float bounds, bit for bit:
+    # the rows carry float detunings, and run_point's RK4 rays (below
+    # RAY_BATCH_ROWS rows) do not take numpy's complex arithmetic.
+    sc = default_scene()
+    lo, hi = -TWO_PI * 2e6, TWO_PI * 2e6
+    want = detuning_sweep(sc, lo, hi, n)
+    assert repr(detuning_sweep(sc, np.float64(lo), np.float64(hi), n)) == repr(want)
 
 
 def test_angular_dispersion_default_scene():

@@ -2,12 +2,14 @@
 scene symmetries, agreement with RK4."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eitprism.medium import ControlField, MediumParams, eta, grad_index, index_gradient
 from eitprism.rays import (
+    BLOCK_ROWS,
     EXTRAPOLATIONS,
     MACRO_STEPS,
     PARAXIAL_LIMIT,
@@ -283,6 +285,20 @@ def test_stub_matches_per_step_reference_bitwise(gradient, x0, theta0, length):
     assert traj.paraxial_violation
 
 
+def test_numpy_scalar_detuning_is_a_float():
+    # An np.float64 detuning traces the ray of the Python float it holds,
+    # state for state and bit for bit: numpy's complex arithmetic rounds
+    # the gradient differently (the states at 2 MHz were not equal) and
+    # costs twice the time per step.
+    sc = default_scene()
+    delta = TWO_PI * 2e6
+    assert type(index_gradient(np.float64(delta), sc.medium, sc.control)(0.1)) is float
+    args = (sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps)
+    want, got = trace_ray(delta, *args), trace_ray(np.float64(delta), *args)
+    np.testing.assert_array_equal(got.states.view(np.uint64), want.states.view(np.uint64))
+    assert got.paraxial_violation is want.paraxial_violation
+
+
 def test_paraxial_flag():
     traj = integrate_gradient(lambda x: 0.0, 0.0, 0.6, 1.0, 100)
     assert traj.paraxial_violation
@@ -418,6 +434,37 @@ def test_batch_certifies_a_fine_stock_scan():
     sc = default_scene()
     deltas = TWO_PI * np.linspace(-2e7, 2e7, 2001)
     assert ray_exits(deltas, sc.probe.offset, sc.medium, sc.control)[2].all()
+
+
+def test_batch_blocks_change_no_bit():
+    # 2001 rows are two blocks of at most BLOCK_ROWS, whose concatenation
+    # equals the unblocked batch bit for bit.
+    sc = default_scene()
+    deltas = TWO_PI * np.linspace(-2e7, 2e7, 2001)
+    assert BLOCK_ROWS < deltas.size
+    whole = exit_angles(
+        index_gradient(deltas, sc.medium, sc.control),
+        np.full(deltas.shape, sc.probe.offset),
+        sc.medium.cell_length,
+    )
+    _assert_bitwise_equal(
+        ray_exits(deltas, sc.probe.offset, sc.medium, sc.control), whole
+    )
+
+
+def test_batch_memory_bounded():
+    # 10**5 stock-scene detunings in one batch peaked at 101.6 MB of traced
+    # memory, from exit_angles' (EXTRAPOLATIONS, B) temporaries; in blocks
+    # the peak is about 3 MB.
+    sc = default_scene()
+    deltas = TWO_PI * np.linspace(-2e7, 2e7, 10**5)
+    tracemalloc.start()
+    try:
+        ray_exits(deltas, sc.probe.offset, sc.medium, sc.control)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize("half_periods", [0.3, 0.7, 0.999, 1.4, 2.6, 5.5])
