@@ -141,7 +141,7 @@ def cmd_profile(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     if not args.no_normalize:
         peaks = [c.max() for c in columns]
         columns = [c / p if p > 0.0 else c for c, p in zip(columns, peaks)]
-    header = ["x_mm", "input_plane"] + ["far_%.9g" % d_hz for d_hz in detunings_hz]
+    header = ["x_mm", "input_plane"] + ["far_" + d for d in _rows(detunings_hz)]
     lines = [",".join(header)] + _rows(scene.grid.xs() * 10.0, *columns)
     _emit(lines, args.out)
 

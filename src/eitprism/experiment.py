@@ -203,8 +203,8 @@ def _rk4_exit(scene: Scene, delta: float) -> tuple[float, bool]:
     return exit_angle(traj), traj.paraxial_violation
 
 
-def _probe_window(scene: Scene) -> slice:
-    """The samples of the scene grid that a row propagates on: the smallest
+def _probe_window(scene: Scene) -> Grid1D:
+    """The window of the scene grid that a row propagates on: the smallest
     power of two of at least 512 that spans WINDOW_WAISTS probe waists (at
     most the whole grid), centred on the probe as far as the grid allows."""
     g = scene.grid
@@ -213,7 +213,7 @@ def _probe_window(scene: Scene) -> slice:
         n *= 2
     start = round((scene.probe.offset - g.x0) / g.dx) - n // 2
     start = min(max(start, 0), g.n_points - n)
-    return slice(start, start + n)
+    return Grid1D(n, g.dx, g.x0 + start * g.dx)
 
 
 def launch_probe(scene: Scene) -> TransverseField:
@@ -224,9 +224,8 @@ def launch_probe(scene: Scene) -> TransverseField:
     g = scene.grid
     if abs(scene.probe.offset - g.center) > 0.25 * g.span:
         raise ValueError("probe offset outside the central half of the grid")
-    w = _probe_window(scene)
     return make_gaussian_probe(
-        Grid1D(w.stop - w.start, g.dx, g.x0 + w.start * g.dx),
+        _probe_window(scene),
         scene.medium.wavelength,
         scene.probe.waist,
         scene.probe.offset,

@@ -318,9 +318,6 @@ def _cross_stack(
     launch *= half
     np.fft.ifft(launch, out=launch)
     a = np.repeat(launch[np.newaxis], len(deltas), axis=0)
-    # (1, N) kernels: a stack of one row then multiplies without broadcasting.
-    half, full = half[np.newaxis], full[np.newaxis]
-    mag = np.empty(a.shape)
     rows = np.arange(len(deltas))  # the index in ``deltas`` of each stack row
     outs: list = [None] * len(deltas)
     for i in range(n_slices):
@@ -336,7 +333,7 @@ def _cross_stack(
         # below the floor (a NaN one is not), and otherwise on the guard,
         # whose peak is then NaN, a band's maximum or a middle one at or
         # over the floor that fails the test.
-        maxima = np.maximum.reduceat(np.abs(a, out=mag), bands, axis=1).tolist()
+        maxima = np.maximum.reduceat(np.abs(a), bands, axis=1).tolist()
         z = field.z + (i + 1) * dz
         for j in reversed(range(len(rows))):
             left, mid, right = maxima[j]
@@ -353,7 +350,7 @@ def _cross_stack(
             # stack never needs a second copy of itself.
             last = len(rows) - 1
             a[j], screens[j], rows[j] = a[last], screens[last], rows[last]
-            a, screens, rows, mag = a[:last], screens[:last], rows[:last], mag[:last]
+            a, screens, rows = a[:last], screens[:last], rows[:last]
         if not len(rows):
             return outs
     z = field.z + n_slices * dz

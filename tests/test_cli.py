@@ -104,17 +104,25 @@ def test_chi_bytes(tmp_path, flags, name):
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
-def test_chi_and_sweep_print_the_same_detunings(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "points, lo, hi",
+    # A centred range whose rad/s grid misses 0 by round-off: both commands
+    # print the detuning simulated, round-off included, in the centre row.
+    [("7", "-3.3e4", "7.7e4"), ("49", "-2e3", "2e3")],
+    ids=["uneven", "centred"],
+)
+def test_chi_and_sweep_print_the_same_detunings(tmp_path, capsys, points, lo, hi):
     # Both sample the range sweep_bounds converted, with sweep_detunings.
     cfg = write_config(tmp_path, FAST_KEYS)
-    span = ["--points", "7", "--min-hz", "-3.3e4", "--max-hz", "7.7e4"]
+    span = ["--points", points, "--min-hz", lo, "--max-hz", hi]
     assert main(["chi", "--config", cfg, *span]) == 0
     _, chi_rows = rows_of(capsys.readouterr().out)
     out = tmp_path / "s.csv"
     assert main(["sweep", "--config", cfg, *span, "--out", str(out)]) == 0
     _, sweep_rows = rows_of(out.read_text(encoding="utf-8"))
+    assert len(chi_rows) == int(points)
     assert [r[0] for r in chi_rows] == [r[0] for r in sweep_rows]
-    assert chi_rows[0][0] == "-33000" and chi_rows[-1][0] == "77000"
+    assert float(chi_rows[0][0]) == float(lo) and float(chi_rows[-1][0]) == float(hi)
 
 
 def test_sweep_files_and_schema(tmp_path):

@@ -289,7 +289,7 @@ def test_row_runs_on_probe_window(monkeypatch):
     assert abs(g.center - sc.probe.offset) <= sc.grid.dx
     # Never wider than the scene grid, and clamped inside it.
     small = dataclasses.replace(sc, grid=centered_grid(512, 12.8))
-    assert experiment._probe_window(small) == slice(0, small.grid.n_points)
+    assert experiment._probe_window(small) == small.grid
     # The probe must still lie in the central half of the scene grid.
     g = sc.grid
     off = dataclasses.replace(
@@ -455,6 +455,29 @@ def test_near_resonance_sweep_pinned():
     assert "\n".join(lines) + "\n" == text
 
 
+def test_split_step_converges_at_second_order():
+    # The 8 imaging detunings, crossed as one stack at 100 to 1600 slices.
+    # A symmetric split-step is second order: each doubling of n_slices
+    # cuts the change in every wave column by 4, and the Richardson
+    # estimate |v(200) - v(100)| / 3 of the stock 200-slice error is within
+    # 2x of its distance from the 1600-slice value.
+    deltas = [TWO_PI * hz for hz in (1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5)]
+    sc = default_scene()
+    values = {}
+    for n in (100, 200, 400, 800, 1600):
+        scene = dataclasses.replace(sc, n_slices=n)
+        rows = experiment._rows(scene, deltas, [NO_RAY] * len(deltas))
+        values[n] = np.array(
+            [(r.theta_wave, r.far_centroid, r.far_width, r.transmission) for r in rows]
+        )
+    diffs = [abs(values[n] - values[2 * n]) for n in (100, 200, 400, 800)]
+    for coarse, fine in zip(diffs, diffs[1:]):
+        assert np.all((3.5 * fine <= coarse) & (coarse <= 4.5 * fine))
+    estimate = abs(values[200] - values[100]) / 3.0
+    error = abs(values[200] - values[1600])
+    assert np.all((0.5 * error <= estimate) & (estimate <= 2.0 * error))
+
+
 def test_probe_launch_failing_guard_raises():
     # A grid too narrow for the launch probe (512 points, 8.2 waists) fails
     # every row alike, so the sweep stops at its first row instead of
@@ -556,7 +579,7 @@ def test_sweep_ordering_and_thread_independence():
     assert [r.detuning for r in rows1] == sorted(r.detuning for r in rows1)
     assert rows1[0].detuning == -TWO_PI * 4e5
     assert rows1[-1].detuning == TWO_PI * 4e5
-    assert repr(rows1) == repr(rows4)  # bit-identical regardless of pool size
+    assert repr(rows1) == repr(rows4)  # bit-identical regardless of threads
     best = max(rows1, key=lambda r: r.transmission)
     assert best.detuning == 0.0
     # NaN rows too: the field turns opaque inside the cell at
