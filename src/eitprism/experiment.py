@@ -88,6 +88,15 @@ LOW_POWER_FLOOR = 1e-9
 # Far-centroid pointing differences below this angle (rad) are noise.
 DISPERSION_NOISE_FLOOR = 1e-12
 
+# Half the detuning gap (rad/s) of angular_dispersion's central difference.
+DISPERSION_STEP = TWO_PI * 100.0
+
+# Separation (rad/s) the resolution search doubles from, and the relative
+# width of the bracket it bisects down to: R is the bracket's top, so only
+# about 3 of its printed digits are measured.
+RESOLUTION_START = TWO_PI * 1e3
+RESOLUTION_REL_TOL = 1e-3
+
 # Widest detuning separation (rad/s) the resolution search tries: without
 # a cap it never ends on a cell whose spots do not separate, such as an
 # empty one.  The value is the span of the stock +-20 MHz sweep; the CLI
@@ -391,37 +400,31 @@ def detuning_sweep(
     return list(_rows(scene, deltas, rays))
 
 
-def angular_dispersion(
-    scene: Scene, d_ref: float = 0.0, step: float = TWO_PI * 100.0
-) -> tuple[float, str | None]:
-    """Wavelength dispersion d(theta)/d(lambda) around ``d_ref``, in rad/nm.
+def angular_dispersion(scene: Scene) -> tuple[float, str | None]:
+    """Wavelength dispersion d(theta)/d(lambda) at zero detuning, in rad/nm.
 
-    Central difference of theta_wave over +-``step`` rad/s, converted with
-    d(lambda) = -(lambda^2 / 2 pi c) d(delta).  Returns (value, reason);
-    the reason is "dispersion_noise" when the pointing difference is NaN
-    or below the angular noise floor, e.g. for an empty cell, and None
-    otherwise.
+    Central difference of theta_wave over +-DISPERSION_STEP rad/s,
+    converted with d(lambda) = -(lambda^2 / 2 pi c) d(delta).  Returns
+    (value, reason); the reason is "dispersion_noise" when the pointing
+    difference is NaN or below the angular noise floor, e.g. for an empty
+    cell, and None otherwise.
     """
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be positive and finite")
-    if not math.isfinite(d_ref):
-        raise ValueError("d_ref must be finite")
-    hi, lo = _rows(scene, [d_ref + step, d_ref - step], [(math.nan, False)] * 2)
+    pair = [DISPERSION_STEP, -DISPERSION_STEP]
+    hi, lo = _rows(scene, pair, [(math.nan, False)] * 2)
     diff = hi.theta_wave - lo.theta_wave
-    slope = diff / (2.0 * step)
+    slope = diff / (2.0 * DISPERSION_STEP)
     lam_per_rad = scene.medium.wavelength**2 / (TWO_PI * C_LIGHT) * 1e7  # nm s/rad
     noisy = not math.isfinite(diff) or abs(diff) < DISPERSION_NOISE_FLOOR
     return -slope / lam_per_rad, "dispersion_noise" if noisy else None
 
 
-def _spots_resolved(
-    scene: Scene, d_ref: float, separation: float
-) -> tuple[float, float] | None:
-    """Rayleigh-style test: two detunings ``separation`` apart land as two
-    far-field spots.  Returns (centroid distance, mean spot width); the
-    spots are resolved when the distance is at least the width.  Returns
-    None when either spot carries no usable power."""
-    pair = [d_ref - 0.5 * separation, d_ref + 0.5 * separation]
+def _spots_resolved(scene: Scene, separation: float) -> tuple[float, float] | None:
+    """Rayleigh-style test: two detunings ``separation`` apart, centred on
+    two-photon resonance, land as two far-field spots.  Returns (centroid
+    distance, mean spot width); the spots are resolved when the distance is
+    at least the width.  Returns None when either spot has no finite
+    centroid: its row is opaque, guard_band or aliased."""
+    pair = [-0.5 * separation, 0.5 * separation]
     a, b = _rows(scene, pair, [(math.nan, False)] * 2)
     if not (math.isfinite(a.far_centroid) and math.isfinite(b.far_centroid)):
         return None
@@ -429,13 +432,10 @@ def _spots_resolved(
 
 
 def _search_bracket(
-    resolved: Callable[[float], bool | None],
-    start: float,
-    cap: float,
-    rel_tol: float,
+    resolved: Callable[[float], bool | None], start: float, cap: float
 ) -> tuple[float | None, float]:
     """Doubling from ``start`` until ``resolved``, then bisection to
-    ``rel_tol``; no separation above ``cap`` is asked for.
+    RESOLUTION_REL_TOL; no separation above ``cap`` is asked for.
 
     Returns the final (lo, hi) bracket, or (None, s) when the search gives
     up at separation s: the verdict there is None, or False at the cap.
@@ -450,7 +450,7 @@ def _search_bracket(
             return None, hi
         lo = hi
         hi = min(2.0 * hi, cap)
-    while hi - lo > rel_tol * hi:
+    while hi - lo > RESOLUTION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if resolved(mid):
             hi = mid
@@ -460,24 +460,22 @@ def _search_bracket(
 
 
 def spectral_resolution(
-    scene: Scene,
-    d_ref: float = 0.0,
-    initial_separation: float = TWO_PI * 1e3,
-    max_separation: float = RESOLUTION_SEARCH_CAP,
-    rel_tol: float = 1e-3,
+    scene: Scene, max_separation: float = RESOLUTION_SEARCH_CAP
 ) -> tuple[float, str | None]:
     """Resolving power R = omega / d_omega_min at the carrier frequency,
     and the reason when R is NaN.
 
-    d_omega_min is the smallest detuning separation whose two far-field
-    spots pass the Rayleigh test, found by doubling from
-    ``initial_separation`` until resolved and then bisecting to
-    ``rel_tol``.  No separation above ``max_separation`` is probed.
-    Returns (R, reason): R is NaN (unresolvable) with reason "unresolved"
-    when the spots at ``max_separation`` still overlap, and with
-    "resolution_no_power" when a Rayleigh test's spots carried no power
-    first.  The reason is None when R is finite.  The CLI passes the span
-    of the run's sweep as ``max_separation``.
+    d_omega_min is the smallest separation of two detunings centred on
+    two-photon resonance whose two far-field spots pass the Rayleigh test,
+    found by doubling from RESOLUTION_START until resolved and then
+    bisecting to RESOLUTION_REL_TOL.  R is from the top of that bracket,
+    so only about 3 of its significant digits are measured.  No separation
+    above ``max_separation`` is probed.  Returns (R, reason): R is NaN
+    (unresolvable) with reason "unresolved" when the spots at
+    ``max_separation`` still overlap, and with "resolution_no_power" when
+    a Rayleigh test first met a spot with no finite centroid (an opaque,
+    guard_band or aliased row).  The reason is None when R is finite.  The
+    CLI passes the span of the run's sweep as ``max_separation``.
 
     The search is run on predicted verdicts and only its endpoints are
     tested.  Each Rayleigh test gives a guess of the crossing,
@@ -490,22 +488,16 @@ def spectral_resolution(
     the separation, a tested unresolved lo and resolved hi prove every
     prediction on the path right, so R is exactly that of plain bisection.
     """
-    if not math.isfinite(d_ref):
-        raise ValueError("d_ref must be finite")
-    if not (math.isfinite(initial_separation) and math.isfinite(max_separation)):
-        raise ValueError("separations must be finite")
-    if initial_separation <= 0.0 or max_separation <= 0.0:
-        raise ValueError("separations must be positive")
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie strictly between 0 and 1")
+    if not (math.isfinite(max_separation) and max_separation > 0.0):
+        raise ValueError("max_separation must be positive and finite")
     omega = TWO_PI * C_LIGHT / scene.medium.wavelength
-    start = min(initial_separation, max_separation)
+    start = min(RESOLUTION_START, max_separation)
     tested: dict[float, bool | None] = {}
     guess = math.inf
     untested = [start]
     while untested:
         for separation in untested:
-            spots = _spots_resolved(scene, d_ref, separation)
+            spots = _spots_resolved(scene, separation)
             if spots is None:
                 tested[separation] = None
                 continue
@@ -513,7 +505,7 @@ def spectral_resolution(
             tested[separation] = gap >= width
             guess = separation * width / gap if gap > 0.0 else math.inf
         lo, hi = _search_bracket(
-            lambda s: tested.get(s, s >= guess), start, max_separation, rel_tol
+            lambda s: tested.get(s, s >= guess), start, max_separation
         )
         endpoints = (hi,) if lo is None else (lo, hi)
         untested = [s for s in endpoints if s > 0.0 and s not in tested]

@@ -232,12 +232,10 @@ def index_gradient(delta, p: MediumParams, c: ControlField) -> Callable:
     return gradient
 
 
-def grad_index_fd(
-    delta: float, x: float, p: MediumParams, c: ControlField, h: float | None = None
-) -> float:
-    """Central finite difference of Re n(x), for validating :func:`grad_index`."""
-    if h is None:
-        h = c.waist / 1e4
+def grad_index_fd(delta: float, x: float, p: MediumParams, c: ControlField) -> float:
+    """Central finite difference of Re n(x) with step ``c.waist / 1e4``, for
+    validating :func:`grad_index`."""
+    h = c.waist / 1e4
     hi = index_profile(delta, x + h, p, c).real
     lo = index_profile(delta, x - h, p, c).real
     return (hi - lo) / (2.0 * h)

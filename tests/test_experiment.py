@@ -562,8 +562,6 @@ def test_non_finite_detunings_rejected(monkeypatch, bad):
         lambda: detuning_sweep(sc, bad, 0.0, 3),
         lambda: detuning_sweep(sc, 0.0, bad, 3),
         lambda: detuning_sweep(sc, bad, bad, 3, threads=2),
-        lambda: angular_dispersion(sc, d_ref=bad),
-        lambda: spectral_resolution(sc, d_ref=bad),
         # Before any detuning is crossed, the opaque 5 MHz one included.
         lambda: experiment.profile(sc, [TWO_PI * 5e6, bad]),
     ]
@@ -703,22 +701,15 @@ def test_angular_dispersion_vacuum_is_noise():
     assert abs(disp) < 1e-6
 
 
-def test_angular_dispersion_validation():
-    for step in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            angular_dispersion(default_scene(), step=step)
-
-
-def reference_resolution(
-    scene, d_ref=0.0, initial=TWO_PI * 1e3, cap=experiment.RESOLUTION_SEARCH_CAP, rel_tol=1e-3
-):
+def reference_resolution(scene, cap=experiment.RESOLUTION_SEARCH_CAP):
     """Plain doubling-plus-bisection: one Rayleigh test per verdict."""
+    rel_tol = experiment.RESOLUTION_REL_TOL
 
     def resolved(separation):
-        spots = experiment._spots_resolved(scene, d_ref, separation)
+        spots = experiment._spots_resolved(scene, separation)
         return None if spots is None else spots[0] >= spots[1]
 
-    lo, hi = 0.0, min(initial, cap)
+    lo, hi = 0.0, min(experiment.RESOLUTION_START, cap)
     while True:
         verdict = resolved(hi)
         if verdict:
@@ -739,9 +730,9 @@ def test_spectral_resolution_default_scene(monkeypatch):
     calls = []
     spots_resolved = experiment._spots_resolved
 
-    def counted(scene, d_ref, separation):
+    def counted(scene, separation):
         calls.append(separation)
-        return spots_resolved(scene, d_ref, separation)
+        return spots_resolved(scene, separation)
 
     monkeypatch.setattr(experiment, "_spots_resolved", counted)
     sc = default_scene()
@@ -752,17 +743,21 @@ def test_spectral_resolution_default_scene(monkeypatch):
 
 
 def test_spectral_resolution_gives_up_without_power(monkeypatch):
-    # At 800 kHz both spots of the first Rayleigh test are opaque: the
+    # With a 1 MHz ground-state dephasing the cell is opaque at resonance:
+    # both spots of the first Rayleigh test have no centroid, and the
     # search gives up there instead of doubling the separation.
     calls = []
     spots_resolved = experiment._spots_resolved
 
-    def counted(scene, d_ref, separation):
+    def counted(scene, separation):
         calls.append(separation)
-        return spots_resolved(scene, d_ref, separation)
+        return spots_resolved(scene, separation)
 
     monkeypatch.setattr(experiment, "_spots_resolved", counted)
-    r, cause = spectral_resolution(default_scene(), d_ref=TWO_PI * 8e5)
+    sc = default_scene()
+    dephased = dataclasses.replace(sc.medium, gamma_cb=TWO_PI * 1e6)
+    sc = dataclasses.replace(sc, medium=dephased, grid=centered_grid(4096, 12.8))
+    r, cause = spectral_resolution(sc)
     assert math.isnan(r)
     assert cause == "resolution_no_power"
     assert calls == [TWO_PI * 1e3]
@@ -770,25 +765,27 @@ def test_spectral_resolution_gives_up_without_power(monkeypatch):
 
 def test_spectral_resolution_vacuum_unresolvable():
     sc = vacuum_scene(grid=centered_grid(4096, 12.8))
-    r, cause = spectral_resolution(sc, initial_separation=TWO_PI * 1e7)
+    r, cause = spectral_resolution(sc)
     assert math.isnan(r)
     assert cause == "unresolved"
-    assert math.isnan(reference_resolution(sc, initial=TWO_PI * 1e7))
+    assert math.isnan(reference_resolution(sc))
 
 
 @pytest.mark.parametrize(
-    "d_ref, cap, resolvable",
+    "distance, cap, resolvable",
     [
-        (0.0, TWO_PI * 4e7, True),
-        (0.0, TWO_PI * 31e3, True),
-        (TWO_PI * 1e5, TWO_PI * 4e7, True),
-        (TWO_PI * 1e5, TWO_PI * 31e3, False),  # needs 32-64 kHz there
+        (230.0, TWO_PI * 4e7, True),
+        (230.0, TWO_PI * 31e3, True),  # needs 30.4 kHz
+        (150.0, TWO_PI * 4e7, True),
+        (150.0, TWO_PI * 31e3, False),  # needs 35.3 kHz
     ],
 )
-def test_spectral_resolution_matches_plain_bisection(d_ref, cap, resolvable):
-    sc = dataclasses.replace(default_scene(), grid=centered_grid(4096, 12.8))
-    got, cause = spectral_resolution(sc, d_ref=d_ref, max_separation=cap)
-    want = reference_resolution(sc, d_ref=d_ref, cap=cap)
+def test_spectral_resolution_matches_plain_bisection(distance, cap, resolvable):
+    sc = dataclasses.replace(
+        default_scene(), grid=centered_grid(4096, 12.8), detector_distance=distance
+    )
+    got, cause = spectral_resolution(sc, max_separation=cap)
+    want = reference_resolution(sc, cap=cap)
     assert math.isfinite(want) == resolvable
     assert cause == (None if resolvable else "unresolved")
     assert repr(got) == repr(want)
@@ -798,7 +795,7 @@ def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
     needed = TWO_PI * 30.4e3
     probed = []
 
-    def resolved_from_needed(scene, d_ref, separation):
+    def resolved_from_needed(scene, separation):
         probed.append(separation)
         return separation / needed, 1.0
 
@@ -822,29 +819,23 @@ def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
     assert repr(r) == repr(reference_resolution(sc, cap=cap))
     assert max(probed) == cap  # the reference doubles up to the cap
 
-    with pytest.raises(ValueError):
-        spectral_resolution(sc, max_separation=0.0)
-    with pytest.raises(ValueError):
-        spectral_resolution(sc, initial_separation=-1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            spectral_resolution(sc, initial_separation=bad)
+    for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             spectral_resolution(sc, max_separation=bad)
-    for rel_tol in (0.0, -1e-3, 1.0, 1.5, math.nan):
-        with pytest.raises(ValueError):
-            spectral_resolution(sc, rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("initial_hz", [1e3, 8e3, 60e3])
 def test_spectral_resolution_non_monotone_verdict(monkeypatch, initial_hz):
     # Resolved on [a, b) and again from c up: the search must still stop,
-    # stay under the cap and return a bracket its own tests confirm.
-    a, b, c = TWO_PI * 5e3, TWO_PI * 6e3, TWO_PI * 40e3
-    cap = TWO_PI * 1e5
+    # stay under the cap and return a bracket its own tests confirm.  The
+    # search starts at 1 kHz; scaling a, b, c and the cap by 1 kHz /
+    # initial_hz stands in for a start at initial_hz.
+    scale = TWO_PI * 1e3 / initial_hz
+    a, b, c = scale * 5e3, scale * 6e3, scale * 40e3
+    cap = scale * 1e5
     verdicts = {}
 
-    def spots(scene, d_ref, separation):
+    def spots(scene, separation):
         assert separation not in verdicts and len(verdicts) < 100
         gap = separation / a if separation < b else separation / c
         verdicts[separation] = gap >= 1.0
@@ -853,10 +844,8 @@ def test_spectral_resolution_non_monotone_verdict(monkeypatch, initial_hz):
     monkeypatch.setattr(experiment, "_spots_resolved", spots)
     sc = default_scene()
     omega = TWO_PI * C_LIGHT / sc.medium.wavelength
-    rel_tol = 1e-3
-    r, cause = spectral_resolution(
-        sc, initial_separation=TWO_PI * initial_hz, max_separation=cap, rel_tol=rel_tol
-    )
+    rel_tol = experiment.RESOLUTION_REL_TOL
+    r, cause = spectral_resolution(sc, max_separation=cap)
     assert cause is None
     assert max(verdicts) <= cap
     hits = [s for s, ok in verdicts.items() if ok and omega / s == r]
