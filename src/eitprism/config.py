@@ -65,7 +65,7 @@ class RunConfig:
     detector_distance_mm: float = 2300.0
     grid_points: int = 16_384
     grid_span_mm: float = 128.0
-    n_slices: int = 200
+    n_slices: int = 64
     ray_steps: int = 10_000
     sweep_min_hz: float = -2e7
     sweep_max_hz: float = 2e7

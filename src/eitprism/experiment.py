@@ -49,6 +49,7 @@ from .waves import (
     GuardBandError,
     TransverseField,
     ZeroPowerError,
+    check_n_slices,
     far_field_moments,
     is_opaque,
     make_gaussian_probe,
@@ -143,8 +144,7 @@ class Scene:
     def __post_init__(self) -> None:
         if not 0.0 < self.detector_distance < math.inf:
             raise ValueError("detector_distance must be positive and finite")
-        if self.n_slices < 50:
-            raise ValueError("n_slices must be at least 50")
+        check_n_slices(self.n_slices)
         if self.ray_steps < 100:
             raise ValueError("ray_steps must be at least 100")
         if abs(self.probe.offset - self.control.center) > 2.0 * self.control.waist:

@@ -22,7 +22,9 @@ A transversely Gaussian control beam makes ``omega`` a function of the
 transverse coordinate x, which turns the vapor into a gradient-index
 element.  :func:`index_profile` evaluates n(x) on a grid and
 :func:`grad_index` gives the analytic transverse derivative of Re n; the
-ray tracer uses its fixed-detuning form :func:`index_gradient`.
+ray tracer uses its fixed-detuning form :func:`index_gradient`.  The wave
+propagator's screens take n(x) with its complex slope dn/dx from
+:func:`index_and_slope`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "refractive_index",
     "rabi_at",
     "index_profile",
+    "index_and_slope",
     "grad_index",
     "index_gradient",
     "grad_index_fd",
@@ -164,6 +167,27 @@ def rabi_at(x, c: ControlField):
 def index_profile(delta: float, x, p: MediumParams, c: ControlField):
     """Complex refractive index n(x) across the control-beam profile."""
     return refractive_index(complex_chi(delta, rabi_at(x, c), p))
+
+
+def index_and_slope(delta: float, x, p: MediumParams, c: ControlField):
+    """The complex index n(x) of :func:`index_profile` on an array ``x``,
+    and its complex transverse slope dn/dx (1/cm), evaluated together.
+
+    The slope is the closed form whose real part :func:`grad_index` takes,
+        dn/dx = (8*pi*u*q / waist**2) * S / (D**2 * n),
+    with n the returned index, so the complex square root is taken once.
+    It is written as S / D / (D * n): D**2 alone overflows from |delta|
+    near 1.2e77 rad/s, but S / D and D * n stay finite wherever
+    :func:`complex_chi` does.
+    """
+    n = index_profile(delta, x, p, c)
+    omega = rabi_at(x, c)
+    q = omega * omega
+    den = q + (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
+    strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
+    scale = 2.0 * FOUR_PI / (c.waist * c.waist)
+    u = np.asarray(x, dtype=float) - c.center
+    return n, scale * u * q * (strength / den / (den * n))
 
 
 def grad_index(delta: float, x: float, p: MediumParams, c: ControlField) -> float:

@@ -9,10 +9,28 @@ kernel
     H(kx) = exp(i * (sqrt(k0^2 - kx^2) - k0) * z)
 
 (evanescent components decay), which conserves power to rounding for
-propagating spectra.  Propagation through the vapor uses symmetric
-split-step Fourier: a half free step, then alternating phase screens
-exp(i k0 (n(x) - 1) dz) and full free steps, ending with a half free step.
-The medium is z-uniform so one screen is reused for every slice.
+propagating spectra.  Propagation through the vapor (d/dz = T + V, with
+the free step T and V = i k0 (n(x) - 1)) uses Chin's forward
+fourth-order split step "4B" (S. A. Chin, Phys. Lett. A 226, 344
+(1997)).  Each of its n_slices / 2 steps, of length h = 2 L / n_slices,
+is
+
+    T(a1 h) S T(a2 h) S T(a1 h),   a1 = (1 - 1/sqrt 3) / 2,  a2 = 1/sqrt 3,
+
+where the screen S = exp((h/2) V~) takes the gradient-corrected index
+V~ = i k0 [(n - 1) + c h^2 (dn/dx)^2], c = (2 - sqrt 3) / 24: the
+correction is the paraxial double commutator [V, [T, V]] = i k0 (dn/dx)^2.
+Every substep runs forward, so an absorbing screen never amplifies.  The
+two T(a1 h) of neighbouring steps merge, so a crossing is a launch free
+step T(a1 h), then n_slices slices of one screen and one free step each:
+T(a2 h) and T(2 a1 h) in turn, and T(a1 h) after the last.  Slice i
+ends, by convention, at z = (i + 1) L / n_slices.  The medium is
+z-uniform so one screen is reused for every slice.  The commutator is
+exact only for the paraxial kernel, so against the exact kernel a
+residual remains: at the stock 64 slices the wave readouts are within
+about 1e-10 (transmission 1e-9) of the converged values on the imaging
+detunings, and that residual falls only 3 to 6.5 times per doubling of
+n_slices from there.
 propagate_stack runs that loop once per stack of at most STACK_SAMPLES
 samples: (B, N) rows that share the launch field, each with its own
 detuning's screen, with FFTs along the last axis; each row comes out bit
@@ -45,7 +63,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .medium import ControlField, MediumParams, index_profile
+from .medium import ControlField, MediumParams, index_and_slope
 
 __all__ = [
     "Grid1D",
@@ -59,6 +77,7 @@ __all__ = [
     "propagate_free",
     "propagate_medium",
     "propagate_stack",
+    "check_n_slices",
     "is_opaque",
     "far_field_moments",
     "power",
@@ -73,6 +92,13 @@ GUARD_LEVEL = 1e-6
 # Peak amplitude, relative to the launch peak, below which a field is
 # opaque (see is_opaque).
 OPAQUE_LEVEL = 1e-10
+
+# Chin's 4B coefficients (see the module docstring): the outer and middle
+# free substeps of a step, in units of its length h, and the weight of
+# the screen's gradient correction.
+A1 = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0
+A2 = 1.0 / math.sqrt(3.0)
+GRADIENT_WEIGHT = (2.0 - math.sqrt(3.0)) / 24.0
 
 # Complex samples in one stack of rows at most (see propagate_stack): 32
 # rows of the stock 1024-point probe window, 2 of the 16384-point grid.
@@ -238,16 +264,25 @@ def propagate_medium(
 ) -> TransverseField:
     """Propagate through the vapor cell at two-photon detuning ``delta``.
 
-    The crossing of propagate_stack for a stack of one row.  The guard
-    band is checked after every slice, and a trip raises GuardBandError.
-    The propagation ends, before that check, after the first slice whose
-    field is opaque (see is_opaque), and returns the field at that plane,
-    whose ``z`` then lies inside the cell.
+    The crossing of propagate_stack for a stack of one row: Chin's
+    fourth-order 4B split step in ``n_slices`` slices (even, at least 50;
+    see the module docstring), slice i ending at z = (i + 1) L / n_slices.
+    The guard band is checked after every slice, and a trip raises
+    GuardBandError.  The propagation ends, before that check, after the
+    first slice whose field is opaque (see is_opaque), and returns the
+    field at that plane, whose ``z`` then lies inside the cell.
     """
     (out,) = propagate_stack(field, [delta], p, c, n_slices)
     if isinstance(out, GuardBandError):
         raise out
     return out
+
+
+def check_n_slices(n_slices: int) -> None:
+    """Reject a slice count the crossing cannot run: the 4B steps take
+    slices in pairs, and fewer than 50 is refused."""
+    if n_slices < 50 or n_slices % 2:
+        raise ValueError("n_slices must be even and at least 50")
 
 
 def propagate_stack(
@@ -258,18 +293,26 @@ def propagate_stack(
     n_slices: int,
 ) -> Iterator[TransverseField | GuardBandError]:
     """Cross the vapor cell with ``field`` at each two-photon detuning in
-    ``deltas``: one symmetric split-step loop over a (B, N) stack of rows
-    that share the launch field and its grid, per stack of at most
-    STACK_SAMPLES samples.
+    ``deltas``: one split-step loop over a (B, N) stack of rows that share
+    the launch field and its grid, per stack of at most STACK_SAMPLES
+    samples.
 
-    Each row has its own phase screen, from one index_profile per
-    detuning; the index does not vary along z, so a screen serves every
-    slice.  The free-space kernels are computed once for the stack, and
-    the FFTs run along the last axis.  After every slice each row is
-    checked as a lone crossing would be: a row whose field is opaque (see
-    is_opaque) stops at that plane, before the guard check, and a row
-    that fails the guard band stops with a GuardBandError.  A row that
-    stops leaves the stack.
+    The loop is Chin's fourth-order 4B scheme (see the module docstring):
+    a launch free step T(a1 h) shared by every row, then ``n_slices``
+    slices (even, at least 50: see check_n_slices) of one screen and one
+    free step each, with h = 2 L / n_slices.  Slice i ends, by
+    convention, at z = (i + 1) L / n_slices, the plane a row that stops
+    there reports.  Each row has its own gradient-corrected screen, from
+    one index_and_slope per detuning; the index does not vary along z, so
+    a screen serves every slice.  The three free-space kernels are
+    computed once for the stack, and the FFTs run along the last axis: a
+    crossing makes 2 (n_slices + 1) FFT calls.  Against the exact kernel
+    the scheme keeps a residual of about 1e-10 of each wave readout at
+    the stock 64 slices (see the module docstring).  After every slice
+    each row is checked as a lone crossing would be: a row whose field is
+    opaque (see is_opaque) stops at that plane, before the guard check,
+    and a row that fails the guard band stops with a GuardBandError.  A
+    row that stops leaves the stack.
 
     Yields, in the order of ``deltas``, each row's exit field, whose
     ``z`` lies inside the cell when it stopped opaque, or its
@@ -281,8 +324,7 @@ def propagate_stack(
     """
     if not all(math.isfinite(delta) for delta in deltas):
         raise ValueError("delta must be finite")
-    if n_slices < 50:
-        raise ValueError("n_slices must be at least 50")
+    check_n_slices(n_slices)
     if field.wavelength != p.wavelength:
         raise ValueError("field and medium wavelengths disagree")
     if OPAQUE_LEVEL * np.abs(field.amplitude).max() == 0.0:
@@ -290,6 +332,27 @@ def propagate_stack(
     size = max(1, STACK_SAMPLES // field.grid.n_points)
     for k in range(0, len(deltas), size):
         yield from _cross_stack(field, deltas[k : k + size], p, c, n_slices)
+
+
+def _screens(
+    field: TransverseField,
+    deltas: Sequence[float],
+    p: MediumParams,
+    c: ControlField,
+    n_slices: int,
+) -> np.ndarray:
+    """The (B, N) screens exp((h/2) V~) of ``deltas``' rows on ``field``'s
+    grid, h = 2 L / n_slices, with the gradient-corrected index of the
+    module docstring."""
+    dz = p.cell_length / n_slices
+    h = 2.0 * dz
+    xs = field.grid.xs()
+    screens = np.empty((len(deltas), field.grid.n_points), dtype=complex)
+    for screen, delta in zip(screens, deltas):
+        n_x, slope = index_and_slope(delta, xs, p, c)
+        index = (n_x - 1.0) + GRADIENT_WEIGHT * h * h * slope * slope
+        np.exp(1j * field.k0 * index * dz, out=screen)
+    return screens
 
 
 def _cross_stack(
@@ -300,22 +363,21 @@ def _cross_stack(
     n_slices: int,
 ) -> list[TransverseField | GuardBandError]:
     """One stack of propagate_stack: the outcomes of ``deltas``' rows."""
-    dz = p.cell_length / n_slices
-    xs = field.grid.xs()
-    screens = np.empty((len(deltas), field.grid.n_points), dtype=complex)
-    for screen, delta in zip(screens, deltas):
-        n_x = index_profile(delta, xs, p, c)
-        np.exp(1j * field.k0 * (n_x - 1.0) * dz, out=screen)
-    half = _free_kernel(field, 0.5 * dz)
-    full = _free_kernel(field, dz)
+    dz = p.cell_length / n_slices  # one slice; a 4B step spans two
+    h = 2.0 * dz
+    screens = _screens(field, deltas, p, c, n_slices)
+    edge = _free_kernel(field, A1 * h)
+    # The free step after slice i: T(a2 h) inside a 4B step, T(2 a1 h)
+    # where two steps meet, and T(a1 h) after the last slice.
+    kernels = [_free_kernel(field, A2 * h), _free_kernel(field, 2.0 * A1 * h)]
     floor = float(OPAQUE_LEVEL * np.abs(field.amplitude).max())
     nb = max(1, int(round(GUARD_FRACTION * field.grid.n_points)))
     bands = [0, nb, field.grid.n_points - nb]
-    # The launch half step is the same for every row.  The stack is then
+    # The launch step is the same for every row.  The stack is then
     # updated in place (``out=`` needs numpy >= 2.0); the caller's
     # amplitude is never written.
     launch = np.fft.fft(np.asarray(field.amplitude, dtype=complex))
-    launch *= half
+    launch *= edge
     np.fft.ifft(launch, out=launch)
     a = np.repeat(launch[np.newaxis], len(deltas), axis=0)
     rows = np.arange(len(deltas))  # the index in ``deltas`` of each stack row
@@ -323,7 +385,7 @@ def _cross_stack(
     for i in range(n_slices):
         a *= screens
         np.fft.fft(a, axis=-1, out=a)
-        a *= full if i < n_slices - 1 else half
+        a *= kernels[i % 2] if i < n_slices - 1 else edge
         np.fft.ifft(a, axis=-1, out=a)
         # The maxima of |a| over each row's left guard band, middle and
         # right guard band.  A row whose middle maximum is finite, at least

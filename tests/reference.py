@@ -1,8 +1,10 @@
 """Reference computations shared by the test modules."""
 
+import math
+
 import numpy as np
 
-from eitprism.medium import index_profile
+from eitprism.medium import index_and_slope, index_profile
 from eitprism.rays import (
     CERTIFY_TOL,
     EXTRAPOLATIONS,
@@ -14,17 +16,33 @@ from eitprism.waves import OPAQUE_LEVEL, GuardBandError, _check_guard, _free_ker
 
 
 def lone_crossing(field, delta, p, c, n_slices):
-    """The crossing of one row by itself, as the plain 1-D split-step
-    loop with the guard check after every slice: (outcome, amplitude, z),
-    the outcome "readable", "opaque" or the guard's message."""
+    """The crossing of one row by itself, as a plain 1-D loop of Chin's
+    4B steps (Phys. Lett. A 226, 344 (1997)) that builds a new array at
+    every slice, with the guard check after every slice: (outcome,
+    amplitude, z), the outcome "readable", "opaque" or the guard's
+    message.  A step of length h = 2 L / n_slices is T(a1 h) S T(a2 h) S
+    T(a1 h) with the gradient-corrected screen S; the T(a1 h) of
+    neighbouring steps are taken as one T(2 a1 h)."""
     dz = p.cell_length / n_slices
-    n_x = index_profile(delta, field.grid.xs(), p, c)
-    screen = np.exp(1j * field.k0 * (n_x - 1.0) * dz)
-    half, full = _free_kernel(field, 0.5 * dz), _free_kernel(field, dz)
+    h = 2.0 * dz
+    a1 = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0
+    a2 = 1.0 / math.sqrt(3.0)
+    weight = (2.0 - math.sqrt(3.0)) / 24.0
+    n_x, slope = index_and_slope(delta, field.grid.xs(), p, c)
+    screen = np.exp(1j * field.k0 * ((n_x - 1.0) + weight * h * h * slope * slope) * dz)
+    outer = _free_kernel(field, a1 * h)
+    middle = _free_kernel(field, a2 * h)
+    joint = _free_kernel(field, 2.0 * a1 * h)
     floor = OPAQUE_LEVEL * np.abs(field.amplitude).max()
-    a = np.fft.ifft(np.fft.fft(field.amplitude) * half)
+    a = np.fft.ifft(np.fft.fft(field.amplitude) * outer)
     for i in range(n_slices):
-        a = np.fft.ifft(np.fft.fft(a * screen) * (full if i < n_slices - 1 else half))
+        if i % 2 == 0:
+            kernel = middle
+        elif i < n_slices - 1:
+            kernel = joint
+        else:
+            kernel = outer
+        a = np.fft.ifft(np.fft.fft(a * screen) * kernel)
         z = field.z + (i + 1) * dz
         if np.abs(a).max() < floor:
             return "opaque", a, z
@@ -33,6 +51,22 @@ def lone_crossing(field, delta, p, c, n_slices):
         except GuardBandError as err:
             return str(err), None, z
     return "readable", a, z
+
+
+def strang_crossing(field, delta, p, c, n_slices):
+    """The exit amplitude of one row crossed by the symmetric (Strang)
+    split step, second order: a half free step, then ``n_slices`` screens
+    exp(i k0 (n - 1) dz) between full free steps, ending with a half free
+    step.  No stop and no guard check: a reference for rows that cross
+    the whole cell readable."""
+    dz = p.cell_length / n_slices
+    n_x = index_profile(delta, field.grid.xs(), p, c)
+    screen = np.exp(1j * field.k0 * (n_x - 1.0) * dz)
+    half, full = _free_kernel(field, 0.5 * dz), _free_kernel(field, dz)
+    a = np.fft.ifft(np.fft.fft(field.amplitude) * half)
+    for i in range(n_slices):
+        a = np.fft.ifft(np.fft.fft(a * screen) * (full if i < n_slices - 1 else half))
+    return a
 
 
 def _stormer(gradient, x0, u, v, g, step, n):

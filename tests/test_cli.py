@@ -193,7 +193,9 @@ def test_batched_sweep_determinism(tmp_path, monkeypatch):
 
 def test_stock_sweep_bytes(tmp_path):
     # The stock run's CSV and summary, byte for byte: tests/data holds the
-    # files the stock `eitprism sweep` wrote when RK4 traced every row.
+    # files the stock `eitprism sweep` wrote with the fourth-order crossing
+    # at 64 slices.  The theta_ray column and the summary kept their bytes
+    # when the second-order crossing at 200 slices was replaced.
     out = tmp_path / "stock_sweep.csv"
     cfg = write_config(tmp_path, "")
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
@@ -512,6 +514,17 @@ def test_exit_code_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_slices", [48, 65])
+def test_exit_code_bad_slice_count(tmp_path, capsys, n_slices):
+    # The crossing takes slices in pairs, at least 50 of them.
+    cfg = write_config(tmp_path, f"n_slices: {n_slices}\n")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--points", "3", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: n_slices must be even and at least 50\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_exit_code_missing_config(tmp_path, capsys):
     assert main(["chi", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -602,12 +615,16 @@ def test_exit_code_profile_opaque(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cell opaque at 5000000 Hz" in captured.err
-    assert "z=0.0375 cm" in captured.err and "of the launch power left" in captured.err
+    # The field dies in the first slice, whose plane is L / n_slices.
+    sc = default_scene()
+    first = f"z={sc.medium.cell_length / sc.n_slices:g} cm"
+    assert first == "z=0.117188 cm"
+    assert first in captured.err and "of the launch power left" in captured.err
     assert "grid span" not in captured.err
 
 
 # A 15 cm cell at 1e12 cm^-3: at -175 kHz the probe walks off its window
-# and trips the guard there at z = 14.7 cm.
+# and trips the guard there, at the end of the last slice but one.
 WALK_KEYS = "cell_length_mm: 150\ndensity_cm3: 1e12\n"
 
 
@@ -665,14 +682,17 @@ def test_exit_code_profile_walks_off_whole_grid(tmp_path, capsys):
     # scene is shifted so that the probe sits at x = 0 on the control
     # beam's steep flank.
     offset_mm = eitprism.RunConfig().probe_offset_mm
-    cfg = write_config(
-        tmp_path,
+    body = (
         WALK_KEYS + "grid_points: 1024\ngrid_span_mm: 8\nprobe_offset_mm: 0\n"
-        f"control_center_mm: {-offset_mm!r}\n",
+        f"control_center_mm: {-offset_mm!r}\n"
     )
+    cfg = write_config(tmp_path, body)
     assert main(["profile", "--config", cfg, "--detuning-hz", "-175000"]) == 3
     err = capsys.readouterr().err
-    assert "z=14.7 cm; enlarge the grid span" in err
+    sc = scene_from_config(parse_config(body))
+    stop = (sc.n_slices - 1) * (sc.medium.cell_length / sc.n_slices)
+    assert f"{stop:g}" == "14.7656"
+    assert f"z={stop:g} cm; enlarge the grid span" in err
     assert "probe window" not in err
 
 

@@ -110,6 +110,9 @@ def test_bad_physics_is_config_error():
         scene_from_config(parse_config("grid_points: 100\n"))
     with pytest.raises(ConfigError):
         scene_from_config(parse_config("probe_offset_mm: 500\n"))
+    for n_slices in (48, 65):
+        with pytest.raises(ConfigError, match="n_slices must be even and at least 50"):
+            scene_from_config(parse_config(f"n_slices: {n_slices}\n"))
 
 
 def test_sweep_bounds():

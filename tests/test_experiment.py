@@ -36,7 +36,7 @@ from eitprism.experiment import (
     spectral_resolution,
     sweep_detunings,
 )
-from reference import lone_crossing
+from reference import lone_crossing, strang_crossing
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,8 +91,9 @@ def test_scene_validation():
     sc = default_scene()
     with pytest.raises(ValueError):
         dataclasses.replace(sc, detector_distance=0.0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(sc, n_slices=10)
+    for n_slices in (10, 48, 65):  # below 50, or odd
+        with pytest.raises(ValueError, match="n_slices must be even and at least 50"):
+            dataclasses.replace(sc, n_slices=n_slices)
     with pytest.raises(ValueError):
         dataclasses.replace(sc, ray_steps=10)
     with pytest.raises(ValueError):
@@ -441,8 +442,8 @@ def test_long_stack_memory_bounded():
 
 def test_near_resonance_sweep_pinned():
     # The 41-row +-400 kHz sweep at 9 significant digits, as the CLI writes
-    # it: tests/data holds the rows the sweep gave before the rows crossed
-    # the cell as stacks.
+    # it: tests/data holds the rows of the fourth-order crossing at the
+    # stock 64 slices, whose wave columns are converged to those digits.
     rows = detuning_sweep(default_scene(), -TWO_PI * 4e5, TWO_PI * 4e5, 41)
     assert [r.detuning for r in rows] == NEAR_DELTAS
     lines = ["detuning_hz,theta_ray_rad,theta_wave_rad,transmission,"
@@ -455,27 +456,36 @@ def test_near_resonance_sweep_pinned():
     assert "\n".join(lines) + "\n" == text
 
 
-def test_split_step_converges_at_second_order():
-    # The 8 imaging detunings, crossed as one stack at 100 to 1600 slices.
-    # A symmetric split-step is second order: each doubling of n_slices
-    # cuts the change in every wave column by 4, and the Richardson
-    # estimate |v(200) - v(100)| / 3 of the stock 200-slice error is within
-    # 2x of its distance from the 1600-slice value.
+def test_split_step_is_accurate_at_the_stock_slices():
+    # The 8 imaging detunings, crossed as one stack at the stock 64 slices,
+    # against Richardson's (4 v(1600) - v(800)) / 3 of an independent
+    # Strang split step, which is second order (reference.strang_crossing):
+    # the stock 4B crossing is within 1e-10 relative in the three moment
+    # columns and 2e-9 in transmission (measured: 1.8e-11, 3.5e-11,
+    # 9.5e-11 and 7.5e-10).  Without the screen's gradient correction, or
+    # with half its weight, the crossing is second order and about 1e-6
+    # off.  The residual is not a clean x16 per doubling: the paraxial
+    # commutator in the correction is not exact for the exact kernel.
     deltas = [TWO_PI * hz for hz in (1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5)]
     sc = default_scene()
-    values = {}
-    for n in (100, 200, 400, 800, 1600):
-        scene = dataclasses.replace(sc, n_slices=n)
-        rows = experiment._rows(scene, deltas, [NO_RAY] * len(deltas))
-        values[n] = np.array(
-            [(r.theta_wave, r.far_centroid, r.far_width, r.transmission) for r in rows]
-        )
-    diffs = [abs(values[n] - values[2 * n]) for n in (100, 200, 400, 800)]
-    for coarse, fine in zip(diffs, diffs[1:]):
-        assert np.all((3.5 * fine <= coarse) & (coarse <= 4.5 * fine))
-    estimate = abs(values[200] - values[100]) / 3.0
-    error = abs(values[200] - values[1600])
-    assert np.all((0.5 * error <= estimate) & (estimate <= 2.0 * error))
+    assert sc.n_slices == 64
+    rows = experiment._rows(sc, deltas, [NO_RAY] * len(deltas))
+    got = np.array(
+        [(r.theta_wave, r.far_centroid, r.far_width, r.transmission) for r in rows]
+    )
+    probe = experiment.launch_probe(sc)
+
+    def readout(n_slices, delta):
+        a = strang_crossing(probe, delta, sc.medium, sc.control, n_slices)
+        out = dataclasses.replace(probe, amplitude=a)
+        far_centroid, far_width, theta = far_field_moments(out, sc.detector_distance)
+        return np.array([theta, far_centroid, far_width, transmission(probe, out)])
+
+    want = np.array(
+        [(4.0 * readout(1600, delta) - readout(800, delta)) / 3.0 for delta in deltas]
+    )
+    error = np.max(abs(got - want) / abs(want), axis=0)
+    assert np.all(error <= [1e-10, 1e-10, 1e-10, 2e-9]), error
 
 
 def test_probe_launch_failing_guard_raises():

@@ -31,9 +31,10 @@ from eitprism.waves import (
     power,
     propagate_free,
     propagate_medium,
+    propagate_stack,
     transmission,
 )
-from eitprism import default_scene, waves
+from eitprism import default_scene, experiment, waves
 import reference
 from reference import lone_crossing
 
@@ -324,6 +325,26 @@ def test_medium_transmission_even_near_resonance():
     assert t_plus == pytest.approx(t_minus, rel=1e-6)
 
 
+def test_screens_never_amplify():
+    # Every 4B substep runs forward, so no screen gains: on the stock probe
+    # window, at every stock (+-20 MHz, 101 rows), near-resonance (+-400
+    # kHz, 41 rows) and imaging detuning, each gradient-corrected screen
+    # has |screen| <= 1.  Measured: the largest real part of an exponent
+    # is -1.95e-2, at 0 Hz; the correction reaches 0.27 in magnitude on
+    # strongly absorbing rows, but at most 4.3e-4 of the main exponent.
+    sc = default_scene()
+    probe = experiment.launch_probe(sc)
+    deltas = (
+        [-TWO_PI * 2e7 + i * (TWO_PI * 4e7 / 100) for i in range(101)]
+        + [-TWO_PI * 4e5 + i * (TWO_PI * 8e5 / 40) for i in range(41)]
+        + [TWO_PI * hz for hz in (1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5)]
+    )
+    screens = waves._screens(probe, deltas, sc.medium, sc.control, sc.n_slices)
+    assert screens.shape == (len(deltas), probe.grid.n_points)
+    assert np.all(np.abs(screens) <= 1.0)
+    assert np.abs(screens).max() < math.exp(-1.9e-2)
+
+
 def test_stack_stops_match_the_guard_on_crafted_rows(monkeypatch):
     # Rows whose screens gain or lose a set number of e-folds per slice,
     # with the free steps patched to the identity, in one stack.  A row
@@ -352,11 +373,14 @@ def test_stack_stops_match_the_guard_on_crafted_rows(monkeypatch):
     def profile(delta, xs, p, c):
         return 1.0 - 1j * gains[delta] / (probe.k0 * dz)
 
+    def flat(delta, xs, p, c):
+        return profile(delta, xs, p, c), np.zeros(n)  # no gradient correction
+
     def identity(field, distance):
         return np.ones(field.grid.n_points, dtype=complex)
 
     for module in (waves, reference):
-        monkeypatch.setattr(module, "index_profile", profile)
+        monkeypatch.setattr(module, "index_and_slope", flat)
         monkeypatch.setattr(module, "_free_kernel", identity)
     args = (sc.medium, sc.control, n_slices)
     with np.errstate(over="ignore"):
@@ -380,8 +404,11 @@ def test_medium_validation():
     sc = default_scene()
     g = small_grid()
     f = make_gaussian_probe(g, sc.medium.wavelength, 0.06, 0.0)
-    with pytest.raises(ValueError):
-        propagate_medium(f, 0.0, sc.medium, sc.control, n_slices=10)
+    for n_slices in (10, 48, 65):  # below 50, or odd
+        with pytest.raises(ValueError, match="n_slices must be even and at least 50"):
+            propagate_medium(f, 0.0, sc.medium, sc.control, n_slices)
+        with pytest.raises(ValueError, match="n_slices must be even and at least 50"):
+            next(propagate_stack(f, [0.0, 1.0], sc.medium, sc.control, n_slices))
     other = TransverseField(g, 6.33e-5, f.amplitude, 0.0)
     with pytest.raises(ValueError):
         propagate_medium(other, 0.0, sc.medium, sc.control, n_slices=50)
