@@ -18,23 +18,21 @@ next stack starts.  A sweep of at least RAY_BATCH_ROWS rows integrates
 all of its rays as one batch (rays.ray_exits), traces with RK4 only a
 ray whose angle the batch cannot certify, and crosses the cell with all
 of its rows as such stacks; every row of a shorter sweep is run_point,
-a stack of one.  The angular-dispersion slope and each Rayleigh test of
-the spectral-resolution search read only the wave quantities of a pair
-of detunings, so they cross the cell as a stack of two and trace no
-rays.  profile makes the images behind ``eitprism profile``: it crosses
-the cell with its detunings as a sweep's rows do, copies each exit field
-onto the scene grid and flies it to the detector.  Rows, the pairs and
-profile share one launch (launch_probe) and one crossing (_cross_cell).
-The resolution search predicts its doubling-plus-bisection path from the
-linear growth of the spot gap and runs Rayleigh tests only at the path's
-endpoints; for a verdict monotone in the separation it returns exactly
-what plain bisection returns.
+a stack of one.  The angular-dispersion slope and each round of the
+spectral-resolution search read only the wave quantities of pairs of
+detunings, so they trace no rays: the slope crosses the cell as a stack
+of two rows, a round of the search as a stack of two (one Rayleigh test)
+or four (the pair that confirms the spots' crossing).  profile makes the
+images behind ``eitprism profile``: it crosses the cell with its
+detunings as a sweep's rows do, copies each exit field onto the scene
+grid and flies it to the detector.  Rows, the pairs and profile share
+one launch (launch_probe) and one crossing (_cross_cell).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -92,11 +90,13 @@ DISPERSION_NOISE_FLOOR = 1e-12
 # Half the detuning gap (rad/s) of angular_dispersion's central difference.
 DISPERSION_STEP = TWO_PI * 100.0
 
-# Separation (rad/s) the resolution search doubles from, and the relative
-# width of the bracket it bisects down to: R is the bracket's top, so only
-# about 3 of its printed digits are measured.
+# Separation (rad/s) the resolution search starts from, and the relative
+# half-width of the bracket that confirms the spots' crossing.  R is
+# interpolated inside it, and moves by at most 1.1e-11 when the bracket
+# narrows to 1e-7, about the wave layer's spot-moment accuracy (1e-10):
+# all 9 printed digits of R are measured.
 RESOLUTION_START = TWO_PI * 1e3
-RESOLUTION_REL_TOL = 1e-3
+RESOLUTION_TOL = 1e-6
 
 # Widest detuning separation (rad/s) the resolution search tries: without
 # a cap it never ends on a cell whose spots do not separate, such as an
@@ -418,45 +418,25 @@ def angular_dispersion(scene: Scene) -> tuple[float, str | None]:
     return -slope / lam_per_rad, "dispersion_noise" if noisy else None
 
 
-def _spots_resolved(scene: Scene, separation: float) -> tuple[float, float] | None:
-    """Rayleigh-style test: two detunings ``separation`` apart, centred on
-    two-photon resonance, land as two far-field spots.  Returns (centroid
-    distance, mean spot width); the spots are resolved when the distance is
-    at least the width.  Returns None when either spot has no finite
-    centroid: its row is opaque, guard_band or aliased."""
-    pair = [-0.5 * separation, 0.5 * separation]
-    a, b = _rows(scene, pair, [(math.nan, False)] * 2)
-    if not (math.isfinite(a.far_centroid) and math.isfinite(b.far_centroid)):
-        return None
-    return abs(b.far_centroid - a.far_centroid), 0.5 * (a.far_width + b.far_width)
-
-
-def _search_bracket(
-    resolved: Callable[[float], bool | None], start: float, cap: float
-) -> tuple[float | None, float]:
-    """Doubling from ``start`` until ``resolved``, then bisection to
-    RESOLUTION_REL_TOL; no separation above ``cap`` is asked for.
-
-    Returns the final (lo, hi) bracket, or (None, s) when the search gives
-    up at separation s: the verdict there is None, or False at the cap.
-    """
-    lo = 0.0
-    hi = start
-    while True:
-        verdict = resolved(hi)
-        if verdict:
-            break
-        if verdict is None or hi >= cap:
-            return None, hi
-        lo = hi
-        hi = min(2.0 * hi, cap)
-    while hi - lo > RESOLUTION_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if resolved(mid):
-            hi = mid
+def _spots_resolved(
+    scene: Scene, separations: Sequence[float]
+) -> list[float | None]:
+    """Rayleigh-style tests, crossed as one stack: for each separation, two
+    detunings that far apart, centred on two-photon resonance, land as two
+    far-field spots.  Returns, per separation, the centroid distance over
+    the mean spot width; the spots are resolved when it is at least 1.  An
+    entry is None when either spot has no finite centroid: its row is
+    opaque, guard_band or aliased."""
+    pairs = [d for s in separations for d in (-0.5 * s, 0.5 * s)]
+    rows = list(_rows(scene, pairs, [(math.nan, False)] * len(pairs)))
+    ratios: list[float | None] = []
+    for a, b in zip(rows[::2], rows[1::2]):
+        if math.isfinite(a.far_centroid) and math.isfinite(b.far_centroid):
+            gap = abs(b.far_centroid - a.far_centroid)
+            ratios.append(gap / (0.5 * (a.far_width + b.far_width)))
         else:
-            lo = mid
-    return lo, hi
+            ratios.append(None)
+    return ratios
 
 
 def spectral_resolution(
@@ -465,51 +445,63 @@ def spectral_resolution(
     """Resolving power R = omega / d_omega_min at the carrier frequency,
     and the reason when R is NaN.
 
-    d_omega_min is the smallest separation of two detunings centred on
-    two-photon resonance whose two far-field spots pass the Rayleigh test,
-    found by doubling from RESOLUTION_START until resolved and then
-    bisecting to RESOLUTION_REL_TOL.  R is from the top of that bracket,
-    so only about 3 of its significant digits are measured.  No separation
-    above ``max_separation`` is probed.  Returns (R, reason): R is NaN
-    (unresolvable) with reason "unresolved" when the spots at
-    ``max_separation`` still overlap, and with "resolution_no_power" when
-    a Rayleigh test first met a spot with no finite centroid (an opaque,
-    guard_band or aliased row).  The reason is None when R is finite.  The
-    CLI passes the span of the run's sweep as ``max_separation``.
-
-    The search is run on predicted verdicts and only its endpoints are
-    tested.  Each Rayleigh test gives a guess of the crossing,
-    separation * width / gap, since the gap grows linearly with the
-    separation and the width barely changes; untested separations are
-    predicted resolved from the guess up.  The tests at the endpoints of
-    the predicted path (lo and hi, or where it gave up) are run, and the
-    search is repeated until all of its endpoints have been tested,
-    usually about 4 tests instead of 16.  When the verdict is monotone in
-    the separation, a tested unresolved lo and resolved hi prove every
-    prediction on the path right, so R is exactly that of plain bisection.
+    d_omega_min is the separation at which two detunings centred on
+    two-photon resonance land as two far-field spots whose centroid
+    distance equals their mean width (the Rayleigh test).  That gap grows
+    linearly with the separation s and the width barely changes, so the
+    search iterates the fixed point s <- s * width / gap from
+    RESOLUTION_START.  Once a step moves s by at most sqrt(RESOLUTION_TOL)
+    of itself, it crosses the pair s * (1 -+ RESOLUTION_TOL) as one stack:
+    when the pair reads unresolved then resolved, d_omega_min is the
+    linear interpolation of gap / width = 1 between its members, so all
+    printed digits of R are measured.  A pair that does not confirm
+    gives the next estimate by extrapolating that line.  An estimate
+    is taken only while it lies in the bracket of the tested separations
+    (the widest unresolved below the narrowest resolved) and moves s by at
+    most half the previous step, as in Brent's safeguarded root finding
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4); otherwise the search bisects that bracket, or doubles s while
+    no tested separation has resolved.  It ends once the bracket is at
+    most 2 * RESOLUTION_TOL wide, so d_omega_min always lies between an
+    unresolved and a resolved test.  No separation above
+    ``max_separation`` is probed.  Returns (R, reason): R is NaN with
+    reason "unresolved" when the spots at ``max_separation`` still
+    overlap, and with "resolution_no_power" when a Rayleigh test met a
+    spot with no finite centroid (an opaque, guard_band or aliased row).
+    The reason is None when R is finite.  The CLI passes the span of the
+    run's sweep as ``max_separation``.
     """
     if not (math.isfinite(max_separation) and max_separation > 0.0):
         raise ValueError("max_separation must be positive and finite")
-    omega = TWO_PI * C_LIGHT / scene.medium.wavelength
-    start = min(RESOLUTION_START, max_separation)
-    tested: dict[float, bool | None] = {}
-    guess = math.inf
-    untested = [start]
-    while untested:
-        for separation in untested:
-            spots = _spots_resolved(scene, separation)
-            if spots is None:
-                tested[separation] = None
-                continue
-            gap, width = spots
-            tested[separation] = gap >= width
-            guess = separation * width / gap if gap > 0.0 else math.inf
-        lo, hi = _search_bracket(
-            lambda s: tested.get(s, s >= guess), start, max_separation
-        )
-        endpoints = (hi,) if lo is None else (lo, hi)
-        untested = [s for s in endpoints if s > 0.0 and s not in tested]
-    if lo is None:
-        cause = "unresolved" if tested[hi] is False else "resolution_no_power"
-        return float("nan"), cause
-    return omega / hi, None
+    tested: dict[float, float] = {}
+    s = min(RESOLUTION_START, max_separation)
+    seps = [s]
+    step = math.inf
+    while True:
+        ratios = _spots_resolved(scene, seps)
+        if None in ratios:
+            return math.nan, "resolution_no_power"
+        tested.update(zip(seps, ratios))
+        hi = min((t for t, r in tested.items() if r >= 1.0), default=math.inf)
+        lo = max((t for t, r in tested.items() if r < 1.0 and t < hi), default=0.0)
+        if lo >= (1.0 - 2.0 * RESOLUTION_TOL) * hi:
+            break
+        if lo >= max_separation:
+            return math.nan, "unresolved"
+        s1, r1 = (seps[0], ratios[0]) if len(seps) == 2 else (0.0, 0.0)
+        guess = min(_crossing(s1, r1, seps[-1], ratios[-1]), max_separation)
+        if not (lo < guess <= hi and abs(guess - s) <= 0.5 * step):
+            guess = 0.5 * (lo + hi) if hi < math.inf else min(2.0 * lo, max_separation)
+        step, s = abs(guess - s), guess
+        seps = [s]
+        if step <= math.sqrt(RESOLUTION_TOL) * s:
+            top = min(s * (1.0 + RESOLUTION_TOL), max_separation)
+            seps = [s * (1.0 - RESOLUTION_TOL), top]
+    crossing = _crossing(lo, tested[lo], hi, tested[hi])
+    return TWO_PI * C_LIGHT / scene.medium.wavelength / crossing, None
+
+
+def _crossing(s1: float, r1: float, s2: float, r2: float) -> float:
+    """Where the line through (s1, r1) and (s2, r2) reaches 1; inf when
+    it is flat."""
+    return s1 + (1.0 - r1) * (s2 - s1) / (r2 - r1) if r2 != r1 else math.inf

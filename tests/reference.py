@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from eitprism import experiment
 from eitprism.medium import index_and_slope, index_profile
 from eitprism.rays import (
     CERTIFY_TOL,
@@ -67,6 +68,33 @@ def strang_crossing(field, delta, p, c, n_slices):
     for i in range(n_slices):
         a = np.fft.ifft(np.fft.fft(a * screen) * (full if i < n_slices - 1 else half))
     return a
+
+
+def reference_resolution(scene, cap, rel_tol):
+    """spectral_resolution by plain doubling from RESOLUTION_START and
+    bisection until the bracket is ``rel_tol`` wide, one Rayleigh test per
+    verdict: R from the bracket's top, or NaN when a spot has no power or
+    the spots at ``cap`` overlap."""
+
+    def resolved(separation):
+        (ratio,) = experiment._spots_resolved(scene, [separation])
+        return None if ratio is None else ratio >= 1.0
+
+    lo, hi = 0.0, min(experiment.RESOLUTION_START, cap)
+    while True:
+        verdict = resolved(hi)
+        if verdict:
+            break
+        if verdict is None or hi >= cap:
+            return math.nan
+        lo, hi = hi, min(2.0 * hi, cap)
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if resolved(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 2.0 * math.pi * experiment.C_LIGHT / scene.medium.wavelength / hi
 
 
 def _stormer(gradient, x0, u, v, g, step, n):

@@ -194,8 +194,9 @@ def test_batched_sweep_determinism(tmp_path, monkeypatch):
 def test_stock_sweep_bytes(tmp_path):
     # The stock run's CSV and summary, byte for byte: tests/data holds the
     # files the stock `eitprism sweep` wrote with the fourth-order crossing
-    # at 64 slices.  The theta_ray column and the summary kept their bytes
-    # when the second-order crossing at 200 slices was replaced.
+    # at 64 slices.  The summary's resolution is the spots' interpolated
+    # crossing inside a confirmed bracket of +-RESOLUTION_TOL; the top of a
+    # 1e-3 bisection bracket printed 1.24083474e+10 there.
     out = tmp_path / "stock_sweep.csv"
     cfg = write_config(tmp_path, "")
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0

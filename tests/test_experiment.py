@@ -36,7 +36,7 @@ from eitprism.experiment import (
     spectral_resolution,
     sweep_detunings,
 )
-from reference import lone_crossing, strang_crossing
+from reference import lone_crossing, reference_resolution, strang_crossing
 
 TWO_PI = 2.0 * math.pi
 
@@ -711,45 +711,21 @@ def test_angular_dispersion_vacuum_is_noise():
     assert abs(disp) < 1e-6
 
 
-def reference_resolution(scene, cap=experiment.RESOLUTION_SEARCH_CAP):
-    """Plain doubling-plus-bisection: one Rayleigh test per verdict."""
-    rel_tol = experiment.RESOLUTION_REL_TOL
-
-    def resolved(separation):
-        spots = experiment._spots_resolved(scene, separation)
-        return None if spots is None else spots[0] >= spots[1]
-
-    lo, hi = 0.0, min(experiment.RESOLUTION_START, cap)
-    while True:
-        verdict = resolved(hi)
-        if verdict:
-            break
-        if verdict is None or hi >= cap:
-            return math.nan
-        lo, hi = hi, min(2.0 * hi, cap)
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if resolved(mid):
-            hi = mid
-        else:
-            lo = mid
-    return TWO_PI * C_LIGHT / scene.medium.wavelength / hi
-
-
 def test_spectral_resolution_default_scene(monkeypatch):
-    calls = []
-    spots_resolved = experiment._spots_resolved
+    stacks = []
+    stack = experiment.propagate_stack
 
-    def counted(scene, separation):
-        calls.append(separation)
-        return spots_resolved(scene, separation)
+    def counted(probe, deltas, *args):
+        stacks.append(len(deltas))
+        return stack(probe, deltas, *args)
 
-    monkeypatch.setattr(experiment, "_spots_resolved", counted)
-    sc = default_scene()
-    r, cause = spectral_resolution(sc)
-    assert r == pytest.approx(1.2408347358652248e10, rel=1e-3)
+    monkeypatch.setattr(experiment, "propagate_stack", counted)
+    r, cause = spectral_resolution(default_scene())
+    assert r == pytest.approx(1.2413943260318989e10, rel=1e-9)
     assert cause is None
-    assert len(calls) <= 5  # plain bisection makes 16 Rayleigh tests here
+    # 2 + 2 + 4 rows: two fixed-point steps, then the confirming pair;
+    # plain bisection to 1e-3 makes 16 tests of 2 rows here.
+    assert len(stacks) <= 3 and sum(stacks) <= 8
 
 
 def test_spectral_resolution_gives_up_without_power(monkeypatch):
@@ -759,9 +735,9 @@ def test_spectral_resolution_gives_up_without_power(monkeypatch):
     calls = []
     spots_resolved = experiment._spots_resolved
 
-    def counted(scene, separation):
-        calls.append(separation)
-        return spots_resolved(scene, separation)
+    def counted(scene, separations):
+        calls.append(list(separations))
+        return spots_resolved(scene, separations)
 
     monkeypatch.setattr(experiment, "_spots_resolved", counted)
     sc = default_scene()
@@ -770,7 +746,7 @@ def test_spectral_resolution_gives_up_without_power(monkeypatch):
     r, cause = spectral_resolution(sc)
     assert math.isnan(r)
     assert cause == "resolution_no_power"
-    assert calls == [TWO_PI * 1e3]
+    assert calls == [[TWO_PI * 1e3]]
 
 
 def test_spectral_resolution_vacuum_unresolvable():
@@ -778,7 +754,7 @@ def test_spectral_resolution_vacuum_unresolvable():
     r, cause = spectral_resolution(sc)
     assert math.isnan(r)
     assert cause == "unresolved"
-    assert math.isnan(reference_resolution(sc))
+    assert math.isnan(reference_resolution(sc, experiment.RESOLUTION_SEARCH_CAP, 1e-3))
 
 
 @pytest.mark.parametrize(
@@ -795,19 +771,34 @@ def test_spectral_resolution_matches_plain_bisection(distance, cap, resolvable):
         default_scene(), grid=centered_grid(4096, 12.8), detector_distance=distance
     )
     got, cause = spectral_resolution(sc, max_separation=cap)
-    want = reference_resolution(sc, cap=cap)
+    want = reference_resolution(sc, cap, 1e-9)
     assert math.isfinite(want) == resolvable
     assert cause == (None if resolvable else "unresolved")
-    assert repr(got) == repr(want)
+    if resolvable:
+        assert abs(got / want - 1.0) <= 2e-9
+    else:
+        assert math.isnan(got)
+
+
+def confirmed_bracket(verdicts, crossing):
+    """A tested (unresolved lo, resolved hi) around ``crossing`` that is at
+    most 2 RESOLUTION_TOL wide, or None."""
+    tol = experiment.RESOLUTION_TOL
+    for lo, lo_ok in verdicts.items():
+        for hi, hi_ok in verdicts.items():
+            if not lo_ok and hi_ok and lo < crossing <= hi and hi - lo <= 2 * tol * hi:
+                return lo, hi
+    return None
 
 
 def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
     needed = TWO_PI * 30.4e3
-    probed = []
+    probed = {}
 
-    def resolved_from_needed(scene, separation):
-        probed.append(separation)
-        return separation / needed, 1.0
+    def resolved_from_needed(scene, separations):
+        ratios = [s / needed for s in separations]
+        probed.update((s, ratio >= 1.0) for s, ratio in zip(separations, ratios))
+        return ratios
 
     monkeypatch.setattr(experiment, "_spots_resolved", resolved_from_needed)
     sc = default_scene()
@@ -818,16 +809,19 @@ def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
     assert cause == "unresolved"
     assert max(probed) == TWO_PI * 2e4
 
-    probed.clear()
+    # Crossings well below, just below and at the cap: in the last two the
+    # confirming pair's top member is held at the cap.
     cap = TWO_PI * 31e3
-    r, cause = spectral_resolution(sc, max_separation=cap)
-    assert cause is None
-    assert max(probed) <= cap
-    sep = omega / r
-    assert needed * (1 - 1e-12) <= sep <= cap * (1 + 1e-12)
-    probed.clear()
-    assert repr(r) == repr(reference_resolution(sc, cap=cap))
-    assert max(probed) == cap  # the reference doubles up to the cap
+    for needed in (TWO_PI * 30.4e3, cap * (1 - 0.5e-6), cap):
+        probed.clear()
+        r, cause = spectral_resolution(sc, max_separation=cap)
+        assert cause is None
+        assert max(probed) <= cap
+        assert omega / r == pytest.approx(needed, rel=1e-12)
+        assert confirmed_bracket(probed, omega / r)
+        probed.clear()
+        assert abs(r / reference_resolution(sc, cap, 1e-9) - 1.0) <= 2e-9
+        assert max(probed) == cap  # the reference doubles up to the cap
 
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -837,31 +831,52 @@ def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
 @pytest.mark.parametrize("initial_hz", [1e3, 8e3, 60e3])
 def test_spectral_resolution_non_monotone_verdict(monkeypatch, initial_hz):
     # Resolved on [a, b) and again from c up: the search must still stop,
-    # stay under the cap and return a bracket its own tests confirm.  The
-    # search starts at 1 kHz; scaling a, b, c and the cap by 1 kHz /
-    # initial_hz stands in for a start at initial_hz.
+    # stay under the cap and return a crossing inside a bracket its own
+    # tests confirm.  The search starts at 1 kHz; scaling a, b, c and the
+    # cap by 1 kHz / initial_hz stands in for a start at initial_hz.
     scale = TWO_PI * 1e3 / initial_hz
     a, b, c = scale * 5e3, scale * 6e3, scale * 40e3
     cap = scale * 1e5
     verdicts = {}
 
-    def spots(scene, separation):
-        assert separation not in verdicts and len(verdicts) < 100
-        gap = separation / a if separation < b else separation / c
-        verdicts[separation] = gap >= 1.0
-        return gap, 1.0
+    def spots(scene, separations):
+        ratios = [s / a if s < b else s / c for s in separations]
+        for s, ratio in zip(separations, ratios):
+            assert s not in verdicts and len(verdicts) < 100
+            verdicts[s] = ratio >= 1.0
+        return ratios
 
     monkeypatch.setattr(experiment, "_spots_resolved", spots)
     sc = default_scene()
     omega = TWO_PI * C_LIGHT / sc.medium.wavelength
-    rel_tol = experiment.RESOLUTION_REL_TOL
     r, cause = spectral_resolution(sc, max_separation=cap)
     assert cause is None
     assert max(verdicts) <= cap
-    hits = [s for s, ok in verdicts.items() if ok and omega / s == r]
-    assert hits
-    hi = hits[0]
-    assert any(not ok and hi * (1 - rel_tol) <= s < hi for s, ok in verdicts.items())
+    assert confirmed_bracket(verdicts, omega / r)
+
+
+@pytest.mark.parametrize("power", [3.0, 0.05])
+def test_spectral_resolution_safeguards_a_poor_fixed_point(monkeypatch, power):
+    # gap / width = (s / needed)^power: the plain fixed point s * width / gap
+    # oscillates and diverges for power 3 and creeps for power 0.05, so the
+    # search must bisect and double its way to the crossing instead.
+    needed = TWO_PI * 30e3
+    verdicts = {}
+
+    def spots(scene, separations):
+        ratios = [(s / needed) ** power for s in separations]
+        for s, ratio in zip(separations, ratios):
+            assert s not in verdicts and len(verdicts) < 100
+            verdicts[s] = ratio >= 1.0
+        return ratios
+
+    monkeypatch.setattr(experiment, "_spots_resolved", spots)
+    sc = default_scene()
+    omega = TWO_PI * C_LIGHT / sc.medium.wavelength
+    r, cause = spectral_resolution(sc)
+    assert cause is None
+    assert omega / r == pytest.approx(needed, rel=2 * experiment.RESOLUTION_TOL)
+    assert confirmed_bracket(verdicts, omega / r)
 
 
 def test_outer_zero_structure():
