@@ -15,8 +15,8 @@ walks far inside the cell gets the whole grid's result.  Detunings cross
 the cell together, in waves.propagate_stack's stacks (see _cross_cell),
 and each stack's exit fields are read out before the
 next stack starts.  A sweep of at least RAY_BATCH_ROWS rows integrates
-all of its rays as one batch (rays.ray_exits), traces with RK4 only a
-ray whose angle the batch cannot certify, and crosses the cell with all
+all of its rays as one batch (rays.ray_exits), runs trace_ray only for
+a ray whose angle the batch cannot certify, and crosses the cell with all
 of its rows as such stacks; every row of a shorter sweep is run_point,
 a stack of one.  The angular-dispersion slope and each round of the
 spectral-resolution search read only the wave quantities of pairs of
@@ -105,9 +105,9 @@ RESOLUTION_TOL = 1e-6
 RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
 
 # Rows from which a sweep integrates its rays as one batch (see
-# detuning_sweep).  Shorter sweeps keep run_point's RK4 trace only
+# detuning_sweep).  Shorter sweeps keep run_point's trace_ray only
 # because the benchmark's tracer self-test pins a 3-row sweep's trace_ray
-# calls and RK4 step counts.
+# calls and step counts.
 RAY_BATCH_ROWS = 30
 
 # Probe waists a row's window spans at least (see _probe_window): the
@@ -201,11 +201,12 @@ def estimate_parameters() -> tuple[MediumParams, ControlField, float, float]:
 
 def run_point(scene: Scene, delta: float) -> SweepRow:
     """Measure one detuning: trace the ray, propagate the wave, read the detector."""
-    return next(_rows(scene, [delta], [_rk4_exit(scene, delta)]))
+    return next(_rows(scene, [delta], [_traced_exit(scene, delta)]))
 
 
-def _rk4_exit(scene: Scene, delta: float) -> tuple[float, bool]:
-    """run_point's ray, (exit angle, paraxial), by RK4 at ``scene.ray_steps``."""
+def _traced_exit(scene: Scene, delta: float) -> tuple[float, bool]:
+    """run_point's ray, (exit angle, paraxial), by trace_ray at
+    ``scene.ray_steps``."""
     traj = trace_ray(
         delta, scene.probe.offset, 0.0, scene.medium, scene.control, scene.ray_steps
     )
@@ -374,10 +375,10 @@ def detuning_sweep(
 
     A sweep of at least RAY_BATCH_ROWS rows takes its exit angles and
     paraxial flags from one batch of extrapolated Störmer steps
-    (rays.ray_exits), which equal run_point's RK4 traces at 9 significant
+    (rays.ray_exits), which equal run_point's traces at 9 significant
     digits (within 1e-11 relative on the stock, near-resonance and
     imaging rows) and do not read ``scene.ray_steps``; a row whose angle
-    it cannot certify takes run_point's RK4 angle and flag instead.  All
+    it cannot certify takes run_point's traced angle and flag instead.  All
     rows then cross the cell together, whatever their ray, in
     waves.propagate_stack's stacks (see _cross_cell).  A shorter sweep is
     run_point row by row.  ``threads`` is accepted for compatibility and
@@ -392,7 +393,7 @@ def detuning_sweep(
         deltas, scene.probe.offset, scene.medium, scene.control
     )
     rays = [
-        (theta, flag) if sure else _rk4_exit(scene, delta)
+        (theta, flag) if sure else _traced_exit(scene, delta)
         for delta, theta, flag, sure in zip(
             deltas, thetas.tolist(), paraxial.tolist(), certified.tolist()
         )
@@ -464,12 +465,12 @@ def spectral_resolution(
     no tested separation has resolved.  It ends once the bracket is at
     most 2 * RESOLUTION_TOL wide, so d_omega_min always lies between an
     unresolved and a resolved test.  No separation above
-    ``max_separation`` is probed.  Returns (R, reason): R is NaN with
-    reason "unresolved" when the spots at ``max_separation`` still
-    overlap, and with "resolution_no_power" when a Rayleigh test met a
-    spot with no finite centroid (an opaque, guard_band or aliased row).
-    The reason is None when R is finite.  The CLI passes the span of the
-    run's sweep as ``max_separation``.
+    ``max_separation`` is probed, and none is probed twice.  Returns (R,
+    reason): R is NaN with reason "unresolved" when the spots at
+    ``max_separation`` still overlap, and with "resolution_no_power" when
+    a Rayleigh test met a spot with no finite centroid (an opaque,
+    guard_band or aliased row).  The reason is None when R is finite.
+    The CLI passes the span of the run's sweep as ``max_separation``.
     """
     if not (math.isfinite(max_separation) and max_separation > 0.0):
         raise ValueError("max_separation must be positive and finite")
@@ -478,10 +479,14 @@ def spectral_resolution(
     seps = [s]
     step = math.inf
     while True:
-        ratios = _spots_resolved(scene, seps)
+        # A separation already tested, such as a pair member held at the
+        # cap, keeps its ratio instead of being crossed again.
+        fresh = [t for t in seps if t not in tested]
+        ratios = _spots_resolved(scene, fresh) if fresh else []
         if None in ratios:
             return math.nan, "resolution_no_power"
-        tested.update(zip(seps, ratios))
+        tested.update(zip(fresh, ratios))
+        ratios = [tested[t] for t in seps]
         hi = min((t for t, r in tested.items() if r >= 1.0), default=math.inf)
         lo = max((t for t, r in tested.items() if r < 1.0 and t < hi), default=0.0)
         if lo >= (1.0 - 2.0 * RESOLUTION_TOL) * hi:

@@ -163,7 +163,7 @@ def test_sweep_byte_determinism(tmp_path):
 
 def test_batched_sweep_determinism(tmp_path, monkeypatch):
     # At RAY_BATCH_ROWS rows a sweep integrates all of its rays as one
-    # batch and certifies every exit angle (it calls no trace_ray, its RK4
+    # batch and certifies every exit angle (it calls no trace_ray, its
     # fallback); rows and CLI bytes stay the same across thread counts and
     # reruns, opaque NaN rows included.  The batch does not read ray_steps.
     def per_row(*args):

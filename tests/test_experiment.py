@@ -602,7 +602,7 @@ def test_sweep_ordering_and_thread_independence():
 
 
 def test_uncertified_sweep_rows_cross_in_the_sweep_stack(monkeypatch):
-    # A row whose batch exit angle is not certified takes run_point's RK4
+    # A row whose batch exit angle is not certified takes run_point's traced
     # angle at the scene's ray_steps; the other rows keep the batch's
     # angle.  Every row, certified or not, crosses the cell in the sweep's
     # one stack, and an uncertified row still equals run_point.
@@ -626,7 +626,7 @@ def test_uncertified_sweep_rows_cross_in_the_sweep_stack(monkeypatch):
             assert repr(row) == repr(run_point(sc, row.detuning))
         else:
             assert row.theta_ray == thetas[i]
-    # RK4 rounds differently from the batch in the last bits.
+    # The trace rounds differently from the batch in the last bits.
     assert any(rows[i].theta_ray != thetas[i] for i in range(0, n, 7))
 
 
@@ -634,7 +634,7 @@ def test_paraxial_rows_carry_the_flag():
     # At 2e12 cm^-3 the rays of 12 rows of the stock +-20 MHz sweep leave
     # the small-angle regime; all 12 stop opaque in the cell.  Rows 38
     # (-4.8 MHz) and 56 (+2.4 MHz) take a certified batch ray, the other
-    # 10 the RK4 fallback, which 17 rows take in all.  Each row's flags
+    # 10 the trace_ray fallback, which 17 rows take in all.  Each row's flags
     # lead with "paraxial", ahead of the wave's, as run_point's do.
     base = default_scene()
     sc = dataclasses.replace(base, medium=dataclasses.replace(base.medium, density=2e12))
@@ -650,7 +650,7 @@ def test_paraxial_rows_carry_the_flag():
         row, ref = rows[i], run_point(sc, rows[i].detuning)
         assert row.flags == ref.flags == ("paraxial", "opaque")
         if certified[i]:
-            # RK4 rounds differently from the batch in the last bits.
+            # The trace rounds differently from the batch in the last bits.
             assert "%.9g" % row.theta_ray == "%.9g" % ref.theta_ray
         else:
             assert repr(row) == repr(ref)
@@ -688,7 +688,7 @@ def test_sweep_detunings():
 @pytest.mark.parametrize("n", [5, 41])
 def test_sweep_numpy_scalar_bounds(n):
     # np.float64 bounds give the rows of Python float bounds, bit for bit:
-    # the rows carry float detunings, and run_point's RK4 rays (below
+    # the rows carry float detunings, and run_point's traced rays (below
     # RAY_BATCH_ROWS rows) do not take numpy's complex arithmetic.
     sc = default_scene()
     lo, hi = -TWO_PI * 2e6, TWO_PI * 2e6
@@ -797,7 +797,9 @@ def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
 
     def resolved_from_needed(scene, separations):
         ratios = [s / needed for s in separations]
-        probed.update((s, ratio >= 1.0) for s, ratio in zip(separations, ratios))
+        for s, ratio in zip(separations, ratios):
+            assert s not in probed  # no separation is crossed twice
+            probed[s] = ratio >= 1.0
         return ratios
 
     monkeypatch.setattr(experiment, "_spots_resolved", resolved_from_needed)
@@ -810,13 +812,17 @@ def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
     assert max(probed) == TWO_PI * 2e4
 
     # Crossings well below, just below and at the cap: in the last two the
-    # confirming pair's top member is held at the cap.
+    # confirming pair's top member is held at the cap.  At the cap, the
+    # first estimate lands on the cap itself, so the pair's top member
+    # reuses that test: 3 separations are crossed, not 4.
     cap = TWO_PI * 31e3
     for needed in (TWO_PI * 30.4e3, cap * (1 - 0.5e-6), cap):
         probed.clear()
         r, cause = spectral_resolution(sc, max_separation=cap)
         assert cause is None
         assert max(probed) <= cap
+        if needed == cap:
+            assert len(probed) == 3
         assert omega / r == pytest.approx(needed, rel=1e-12)
         assert confirmed_bracket(probed, omega / r)
         probed.clear()

@@ -1,5 +1,6 @@
 """Ray integrator and batched exit angles: closed-form stubs, convergence,
-scene symmetries, agreement with RK4."""
+scene symmetries, agreement with RK4 and with an extended-precision
+reference."""
 
 import math
 import tracemalloc
@@ -21,9 +22,10 @@ from eitprism.rays import (
     ray_exits,
     trace_ray,
 )
-from eitprism import RunConfig, default_scene, sweep_bounds
+from eitprism import RunConfig, default_scene, scene_from_config, sweep_bounds
+from eitprism.cli import _rows, main
 from eitprism.experiment import estimate_parameters
-from reference import exit_angles_per_count
+from reference import exit_angles_per_count, longdouble_gradient, rk4_exits_longdouble
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,7 +184,9 @@ def test_reversed_gradient_negates_angle():
 
 
 def _per_step_rk4(gradient, x0, theta0, length, n_steps):
-    """Reference RK4: one (z, x, angle) row and one flag test per step."""
+    """Reference RK4, as the trace stepped before the Adams pair: one
+    (z, x, angle) row and one flag test per step, the steps summed into
+    the absolute x."""
     dz = length / n_steps
     half = 0.5 * dz
     x, v = x0, theta0
@@ -205,6 +209,50 @@ def _per_step_rk4(gradient, x0, theta0, length, n_steps):
     return np.array(rows), violated
 
 
+# The Adams pair's weights, newest gradient first, written out here from
+# Hairer, Norsett & Wanner (Solving ODEs I, sections III.1 and III.10).
+AB6 = [4277 / 1440, -7923 / 1440, 9982 / 1440, -7298 / 1440, 2877 / 1440, -475 / 1440]
+STORMER6 = [
+    2713 / 2520, -15487 / 10080, 586 / 315, -6737 / 5040, 263 / 504, -863 / 10080
+]
+
+
+def _per_step_adams(gradient, x0, theta0, length, n_steps):
+    """Reference of the trace's scheme: 5 RK4 steps, then the 6-step Adams
+    pair on the gradients kept in one list, the moves summed into the
+    displacement u from x0; one (z, x, angle) row and one flag test per
+    step."""
+    dz = length / n_steps
+    half = 0.5 * dz
+    angle_weights = [dz * b for b in AB6]
+    walk_weights = [dz * dz * c for c in STORMER6]
+    u, v = 0.0, theta0
+    rows = [(0.0, x0, v)]
+    violated = abs(v) >= PARAXIAL_LIMIT
+    gradients = []
+    for i in range(n_steps):
+        x = x0 + u
+        gradients.append(gradient(x))
+        if i < 5:
+            k1v = gradients[-1]
+            k2v = gradient(x + half * v)
+            k2x = v + half * k1v
+            k3v = gradient(x + half * k2x)
+            k3x = v + half * k2v
+            k4v = gradient(x + dz * k3x)
+            k4x = v + dz * k3v
+            u += dz * (v + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+            v += dz * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        else:
+            newest = gradients[:-7:-1]
+            u += dz * v + sum(c * f for c, f in zip(walk_weights, newest))
+            v += sum(b * f for b, f in zip(angle_weights, newest))
+        if abs(v) >= PARAXIAL_LIMIT:
+            violated = True
+        rows.append(((i + 1) * dz, x0 + u, v))
+    return np.array(rows), violated
+
+
 def _assert_bitwise(traj, reference):
     rows, violated = reference
     assert traj.states.shape == rows.shape and traj.states.dtype == np.float64
@@ -218,7 +266,7 @@ def _assert_bitwise(traj, reference):
 def test_trace_matches_per_step_reference_bitwise(delta):
     sc = default_scene()
     traj = trace_ray(delta, sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps)
-    reference = _per_step_rk4(
+    reference = _per_step_adams(
         index_gradient(delta, sc.medium, sc.control),
         sc.probe.offset,
         0.0,
@@ -226,6 +274,49 @@ def test_trace_matches_per_step_reference_bitwise(delta):
         sc.ray_steps,
     )
     _assert_bitwise(traj, reference)
+
+
+@pytest.mark.parametrize("n_steps", range(1, 8))
+def test_few_steps_match_per_step_reference_bitwise(n_steps):
+    # Up to 5 steps every step is RK4; from 6 on the Adams pair takes over
+    # from the RK4 starter.  Launched off axis with a nonzero angle, on a
+    # nonlinear stub and on a stock row.
+    stub = (lambda x: -math.sin(x) - 0.3 * x * x, 0.4, -0.2, 1.3)
+    sc = default_scene()
+    row = (
+        index_gradient(TWO_PI * 4e6, sc.medium, sc.control),
+        sc.probe.offset,
+        1e-3,
+        sc.medium.cell_length,
+    )
+    for gradient, x0, theta0, length in (stub, row):
+        traj = integrate_gradient(gradient, x0, theta0, length, n_steps)
+        _assert_bitwise(traj, _per_step_adams(gradient, x0, theta0, length, n_steps))
+
+
+@pytest.mark.parametrize("n_steps", [1, 5, 6, 7, 100, 10_000])
+def test_trace_gradient_calls(n_steps):
+    # Four gradient calls for each of the 5 RK4 starter steps, then one per
+    # step: at most n_steps + 15.
+    calls = []
+
+    def gradient(x):
+        calls.append(x)
+        return -x
+
+    integrate_gradient(gradient, 0.3, 0.1, 2.0, n_steps)
+    assert len(calls) == 4 * min(n_steps, 5) + max(n_steps - 5, 0)
+    assert len(calls) <= n_steps + 20
+
+
+def test_few_steps_follow_harmonic_stub():
+    # x'' = -x from (x0, theta0): across the hand-over from the starter the
+    # error shrinks with the step like the starter's fourth order at least.
+    x0, theta0, length = 0.3, 0.2, 0.7
+    exact = -x0 * math.sin(length) + theta0 * math.cos(length)
+    for n_steps in range(1, 8):
+        traj = integrate_gradient(lambda x: -x, x0, theta0, length, n_steps)
+        assert abs(exit_angle(traj) - exact) <= 3e-3 * (length / n_steps) ** 4
 
 
 def _chain_rule_gradient(delta, p, c):
@@ -281,8 +372,28 @@ def test_trace_matches_chain_rule_kernel(detuning_hz):
 )
 def test_stub_matches_per_step_reference_bitwise(gradient, x0, theta0, length):
     traj = integrate_gradient(gradient, x0, theta0, length, 100)
-    _assert_bitwise(traj, _per_step_rk4(gradient, x0, theta0, length, 100))
+    _assert_bitwise(traj, _per_step_adams(gradient, x0, theta0, length, 100))
     assert traj.paraxial_violation
+
+
+@pytest.mark.parametrize("detuning_hz", [1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5])
+def test_trace_prints_rk4_bytes_at_imaging_detunings(tmp_path, detuning_hz):
+    # The Adams pair moves the imaging traces by less than the printed 9
+    # digits: the CSV equals RK4's, as the trace stepped before it.
+    out = tmp_path / "trace.csv"
+    assert main(["trace", "--detuning-hz", repr(detuning_hz), "--out", str(out)]) == 0
+    sc = default_scene()
+    delta = TWO_PI * detuning_hz
+    rows, violated = _per_step_rk4(
+        index_gradient(delta, sc.medium, sc.control),
+        sc.probe.offset,
+        0.0,
+        sc.medium.cell_length,
+        sc.ray_steps,
+    )
+    assert not violated
+    lines = ["z_cm,x_mm,angle_rad"] + _rows(rows[:, 0], rows[:, 1] * 10.0, rows[:, 2])
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_numpy_scalar_detuning_is_a_float():
@@ -352,10 +463,11 @@ IMAGING_DELTAS = [TWO_PI * hz for hz in (1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -
 
 
 def _assert_matches_scalar_traces(deltas):
-    # Equal at 9 significant digits and within 1e-11 relative: RK4 at the
-    # stock 10k steps is itself within 3.5e-12 of the exact angle on the
-    # hardest stock rows (against 40k steps), and the batch's extrapolated
-    # steps are certified closer than that.  No row falls back to RK4.
+    # Equal at 9 significant digits and within 1e-11 relative (2.2e-13 at
+    # most): the trace at the stock 10k steps is within 1.2e-14 of its
+    # largest |angle| of the exact angle, and the batch's extrapolated
+    # steps are certified within 1e-12 of theirs.  No row falls back to
+    # trace_ray.
     sc = default_scene()
     thetas, flags, certified = ray_exits(deltas, sc.probe.offset, sc.medium, sc.control)
     assert thetas.shape == flags.shape == certified.shape == (len(deltas),)
@@ -410,9 +522,10 @@ GRAZING_DELTAS = [
 
 def test_batch_matches_scalar_traces_on_grazing_rows():
     # Within 2e-11 of the ray's largest |angle|, which is only 7.4e-4 at
-    # 5.38 MHz: there RK4 at the stock 10k steps is itself 1.5e-11 of it
-    # off an extended-precision integration, from the rounding of x that
-    # its steps sum up.
+    # 5.38 MHz (1.4e-12 at most).  There RK4, which summed its steps into
+    # the absolute x, was 1.5e-11 of it off an extended-precision
+    # integration; the trace, which sums them into the displacement, is
+    # 3e-15 off.
     sc = default_scene()
     thetas, flags, certified = ray_exits(
         GRAZING_DELTAS, sc.probe.offset, sc.medium, sc.control
@@ -430,7 +543,7 @@ def test_batch_matches_scalar_traces_on_grazing_rows():
 
 def test_batch_certifies_a_fine_stock_scan():
     # 2001 stock-scene detunings at 20 kHz spacing over +-20 MHz, the
-    # grazing rows among them: none falls back to RK4.
+    # grazing rows among them: none falls back to trace_ray.
     sc = default_scene()
     deltas = TWO_PI * np.linspace(-2e7, 2e7, 2001)
     assert ray_exits(deltas, sc.probe.offset, sc.medium, sc.control)[2].all()
@@ -499,7 +612,7 @@ def test_exit_angles_certify_a_near_double_zero():
     # dN = x ((x - 1)^2 + d^2): from rest at 0 the ray nearly stops at
     # x = 1 and then goes on.  The extrapolated steps follow it through the
     # slow stretch like anywhere else, so the row is certified and agrees
-    # with a fine RK4 trace.
+    # with a fine trace.
     d = 0.01
 
     def gradient(x):
@@ -528,7 +641,7 @@ def test_batch_stub_flags_match_scalar_integrator():
     # x'' = -x from rest at x0 gives angle = -x0 sin(z).  Over [0, pi] a
     # ray from x0 = -1 rises past the limit mid-cell and is back near 0 at
     # the exit; one from -0.3 peaks at 0.3.  The flag reads the largest
-    # |angle|, not the exit one, as the RK4 integrator's does.
+    # |angle|, not the exit one, as integrate_gradient's does.
     x0 = np.array([-1.0, -0.3])
     thetas, flags, certified = exit_angles(lambda x: -x, x0, math.pi)
     assert certified.all()
@@ -626,9 +739,9 @@ def test_batch_gradient_calls():
 
 
 def _energy_drift(delta, n_steps):
-    """|angle**2 / 2 - dN(x)| / dN(x) at the exit of trace_ray: RK4's drift
-    from the ray's conserved energy, with dN, the rise of Re n from the
-    launch, by 32-node Gauss-Legendre quadrature of the closed-form
+    """|angle**2 / 2 - dN(x)| / dN(x) at the exit of trace_ray: the trace's
+    drift from the ray's conserved energy, with dN, the rise of Re n from
+    the launch, by 32-node Gauss-Legendre quadrature of the closed-form
     gradient."""
     sc = default_scene()
     x0 = sc.probe.offset
@@ -641,13 +754,69 @@ def _energy_drift(delta, n_steps):
 
 
 def test_trace_energy_drift():
-    # RK4 is fourth order, so the drift falls about 16x per step doubling.
-    # It shows on a stock row that walks 0.69 cm: the near-resonance rows
-    # walk at most 0.025 cm, where 100 steps already come within 10x of
-    # the rounding floor of the absolute position x.  At 0 Hz the walk,
-    # 1.7e-10 cm, is at that floor itself, so 0 Hz is not checked.
-    drifts = [_energy_drift(TWO_PI * 4e6, n) for n in (100, 200, 400)]
+    # The Adams pair is sixth order, so the drift falls about 64x per step
+    # doubling once the step resolves the ray (55x and 60x here; 100 and
+    # 200 steps are too coarse for that).  It shows on a stock row that
+    # walks 0.69 cm: the near-resonance rows walk at most 0.025 cm, where
+    # 100 steps already come within 10x of the rounding floor of the
+    # absolute position x.  At 0 Hz the walk, 1.7e-10 cm, is at that floor
+    # itself, so 0 Hz is not checked.  At 10k steps the drift is at most
+    # 2.3e-14 on these rows, where RK4's reached 2.9e-12 (at 100 kHz).
+    drifts = [_energy_drift(TWO_PI * 4e6, n) for n in (400, 800, 1600)]
     for coarse, fine in zip(drifts, drifts[1:]):
-        assert 12.0 <= coarse / fine <= 20.0
+        assert coarse / fine >= 40.0
     for hz in (4e6, 4e5, -4e5, 1e5):
-        assert _energy_drift(TWO_PI * hz, 10_000) <= 1e-9
+        assert _energy_drift(TWO_PI * hz, 10_000) <= 1e-13
+
+
+# Detunings of the dense cell (density_cm3: 2e12) whose rays peak within 5 %
+# of PARAXIAL_LIMIT: -4.4, +2.0 and +3.6 MHz reach it, the others do not.
+DENSE_DELTAS = [TWO_PI * mhz * 1e6 for mhz in (-10.0, -9.6, -4.4, 2.0, 3.6, 7.2)]
+
+
+def test_trace_matches_extended_precision_reference():
+    # Against RK4 in np.longdouble at 4x the stock steps, whose own error
+    # (against 8x) is at most 6e-17 of the peak |angle| on these rows: the
+    # stock, near-resonance and imaging rows, the grazing 5.38 MHz row and
+    # the dense cell's near-limit rows.  The trace at the stock steps is
+    # within 1e-13 of the peak |angle| on every row (1.2e-14 at most;
+    # RK4, which summed its steps into the absolute x, was 1.5e-11 off at
+    # 5.38 MHz), and its paraxial flags are the reference's and RK4's.
+    stock = default_scene()
+    dense = scene_from_config(RunConfig(density_cm3=2e12))
+    rows = [(d, stock) for d in STOCK_DELTAS + NEAR_DELTAS + IMAGING_DELTAS]
+    rows += [(TWO_PI * 5.38e6, stock)] + [(d, dense) for d in DENSE_DELTAS]
+    assert dense.control == stock.control and dense.probe == stock.probe
+    assert dense.medium.cell_length == stock.medium.cell_length
+    gradient = longdouble_gradient(
+        [d for d, _ in rows], [sc.medium for _, sc in rows], stock.control
+    )
+    want, peak = rk4_exits_longdouble(
+        gradient,
+        np.full(len(rows), stock.probe.offset),
+        stock.medium.cell_length,
+        4 * stock.ray_steps,
+    )
+    flags = []
+    for (delta, sc), exact, top in zip(rows, want, peak):
+        args = (delta, sc.probe.offset, 0.0, sc.medium, sc.control)
+        traj = trace_ray(*args, sc.ray_steps)
+        assert abs(exit_angle(traj) - exact) <= 1e-13 * top
+        assert traj.paraxial_violation is bool(top >= PARAXIAL_LIMIT)
+        flags.append(traj.paraxial_violation)
+        # At the fewest steps allowed the trace stays finite, though there
+        # it is no more accurate than RK4.
+        assert np.isfinite(trace_ray(*args, 100).states).all()
+    # RK4's flags on the dense rows, the only ones near the limit.
+    rk4_flags = [
+        _per_step_rk4(
+            index_gradient(delta, dense.medium, dense.control),
+            dense.probe.offset,
+            0.0,
+            dense.medium.cell_length,
+            dense.ray_steps,
+        )[1]
+        for delta in DENSE_DELTAS
+    ]
+    assert flags[-len(DENSE_DELTAS):] == rk4_flags
+    assert rk4_flags == [False, False, True, True, True, False]
