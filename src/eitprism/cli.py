@@ -8,11 +8,12 @@ every key is optional and defaults to the stock experiment):
     sweep    full detuning sweep (ray + wave measurements per row) plus a
              one-line summary CSV with the dispersion slope and resolution
     profile  far-field intensity profiles at chosen detunings
-    trace    one ray trajectory through the cell
+    trace    the scene's ray through the cell (experiment.scene_ray), the
+             ray whose exit angle run_point reports
 
-The physics of each subcommand lives in the library (medium, rays,
-experiment); this module only parses arguments, maps errors to exit codes
-and formats CSV.  CSV goes to --out (stdout if omitted; sweep requires
+The physics of each subcommand lives in the library (medium, experiment);
+this module only parses arguments, maps errors to exit codes and formats
+CSV.  CSV goes to --out (stdout if omitted; sweep requires
 --out because it writes a second summary file next to it).  Floats are
 printed with 9 significant digits, a whole row at a time (see _rows); line
 endings are LF.
@@ -42,11 +43,12 @@ from .experiment import (
     angular_dispersion,
     detuning_sweep,
     profile,
+    scene_ray,
     spectral_resolution,
     sweep_detunings,
 )
 from .medium import complex_chi, rabi_at, refractive_index
-from .rays import PARAXIAL_LIMIT, trace_ray
+from .rays import PARAXIAL_LIMIT
 from .waves import GuardBandError, ZeroPowerError
 
 
@@ -150,14 +152,7 @@ def cmd_trace(cfg: RunConfig, scene: Scene, args: argparse.Namespace) -> None:
     d_hz, *more = args.detuning_hz or [0.0]
     if more:
         raise ValueError("trace takes one --detuning-hz")
-    traj = trace_ray(
-        TWO_PI * d_hz,
-        scene.probe.offset,
-        0.0,
-        scene.medium,
-        scene.control,
-        scene.ray_steps,
-    )
+    traj = scene_ray(scene, TWO_PI * d_hz)
     lines = ["z_cm,x_mm,angle_rad"]
     if traj.paraxial_violation:
         warning = "# warning: ray left the small-angle regime (|angle| >= %g)"

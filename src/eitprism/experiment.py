@@ -4,7 +4,8 @@ A Scene bundles the vapor cell, the control beam, the probe launch
 parameters, the transverse grid and the detector distance.  run_point
 answers, for one two-photon detuning: what is the ray-optics exit angle,
 the wave-optics pointing angle, the transmitted power fraction, and the
-far-field spot position and size.  Its wave half propagates the probe on a
+far-field spot position and size.  Its ray is scene_ray, the one that
+``eitprism trace`` prints.  Its wave half propagates the probe on a
 probe-sized window of the scene grid (same dx, so the same Nyquist angle),
 stops once the field is opaque, and reads the detector spot and the
 pointing angle from the exit field's moments: a row flies no field to the
@@ -15,17 +16,18 @@ walks far inside the cell gets the whole grid's result.  Detunings cross
 the cell together, in waves.propagate_stack's stacks (see _cross_cell),
 and each stack's exit fields are read out before the
 next stack starts.  A sweep of at least RAY_BATCH_ROWS rows integrates
-all of its rays as one batch (rays.ray_exits), runs trace_ray only for
+all of its rays as one batch (rays.ray_exits), runs scene_ray only for
 a ray whose angle the batch cannot certify, and crosses the cell with all
 of its rows as such stacks; every row of a shorter sweep is run_point,
 a stack of one.  The angular-dispersion slope and each round of the
 spectral-resolution search read only the wave quantities of pairs of
 detunings, so they trace no rays: the slope crosses the cell as a stack
 of two rows, a round of the search as a stack of two (one Rayleigh test)
-or four (the pair that confirms the spots' crossing).  profile makes the
-images behind ``eitprism profile``: it crosses the cell with its
-detunings as a sweep's rows do, copies each exit field onto the scene
-grid and flies it to the detector.  Rows, the pairs and profile share
+or four (the pair that confirms the spots' crossing), up to the widest
+separation its caller gives (the CLI gives its sweep's span).  profile
+makes the images behind ``eitprism profile``: it crosses the cell with
+its detunings as a sweep's rows do, copies each exit field onto the
+scene grid and flies it to the detector.  Rows, the pairs and profile share
 one launch (launch_probe) and one crossing (_cross_cell).
 """
 
@@ -39,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .medium import ControlField, MediumParams
-from .rays import exit_angle, ray_exits, trace_ray
+from .rays import Trajectory, exit_angle, ray_exits, trace_ray
 from .waves import (
     OPAQUE_LEVEL,
     AliasingError,
@@ -63,6 +65,7 @@ __all__ = [
     "SweepRow",
     "estimate_parameters",
     "run_point",
+    "scene_ray",
     "launch_probe",
     "profile",
     "detuning_sweep",
@@ -97,12 +100,6 @@ DISPERSION_STEP = TWO_PI * 100.0
 # all 9 printed digits of R are measured.
 RESOLUTION_START = TWO_PI * 1e3
 RESOLUTION_TOL = 1e-6
-
-# Widest detuning separation (rad/s) the resolution search tries: without
-# a cap it never ends on a cell whose spots do not separate, such as an
-# empty one.  The value is the span of the stock +-20 MHz sweep; the CLI
-# passes the span of the run's own sweep instead.
-RESOLUTION_SEARCH_CAP = TWO_PI * 4e7
 
 # Rows from which a sweep integrates its rays as one batch (see
 # detuning_sweep).  Shorter sweeps keep run_point's trace_ray only
@@ -204,12 +201,18 @@ def run_point(scene: Scene, delta: float) -> SweepRow:
     return next(_rows(scene, [delta], [_traced_exit(scene, delta)]))
 
 
-def _traced_exit(scene: Scene, delta: float) -> tuple[float, bool]:
-    """run_point's ray, (exit angle, paraxial), by trace_ray at
-    ``scene.ray_steps``."""
-    traj = trace_ray(
+def scene_ray(scene: Scene, delta: float) -> Trajectory:
+    """The scene's ray at two-photon detuning ``delta`` (rad/s): trace_ray
+    launched at rest from the probe offset, in ``scene.ray_steps`` steps.
+    run_point reads its exit angle and ``eitprism trace`` prints it."""
+    return trace_ray(
         delta, scene.probe.offset, 0.0, scene.medium, scene.control, scene.ray_steps
     )
+
+
+def _traced_exit(scene: Scene, delta: float) -> tuple[float, bool]:
+    """run_point's ray, (exit angle, paraxial), from scene_ray."""
+    traj = scene_ray(scene, delta)
     return exit_angle(traj), traj.paraxial_violation
 
 
@@ -332,11 +335,9 @@ def profile(scene: Scene, deltas: Sequence[float]) -> list[TransverseField]:
     detector.  Raises, for the first detuning in ``deltas`` that fails,
     ZeroPowerError naming it when the cell is opaque there, or
     GuardBandError on a guard trip on the scene grid, in the cell or at
-    the detector.  A non-finite detuning raises ValueError before any is
-    crossed."""
+    the detector.  A non-finite detuning raises propagate_stack's
+    ValueError before any is crossed."""
     probe = launch_probe(scene)
-    if not all(math.isfinite(delta) for delta in deltas):
-        raise ValueError("delta must be finite")
     fields = [_on_grid(scene, probe)]
     for delta, out in zip(deltas, _cross_cell(scene, probe, deltas)):
         if isinstance(out, GuardBandError):
@@ -440,9 +441,7 @@ def _spots_resolved(
     return ratios
 
 
-def spectral_resolution(
-    scene: Scene, max_separation: float = RESOLUTION_SEARCH_CAP
-) -> tuple[float, str | None]:
+def spectral_resolution(scene: Scene, max_separation: float) -> tuple[float, str | None]:
     """Resolving power R = omega / d_omega_min at the carrier frequency,
     and the reason when R is NaN.
 
@@ -470,7 +469,9 @@ def spectral_resolution(
     ``max_separation`` still overlap, and with "resolution_no_power" when
     a Rayleigh test met a spot with no finite centroid (an opaque,
     guard_band or aliased row).  The reason is None when R is finite.
-    The CLI passes the span of the run's sweep as ``max_separation``.
+    The cap has no default: without one the search never ends on a cell
+    whose spots do not separate, such as an empty one.  The CLI passes
+    the span of the run's sweep.
     """
     if not (math.isfinite(max_separation) and max_separation > 0.0):
         raise ValueError("max_separation must be positive and finite")

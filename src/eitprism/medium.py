@@ -24,7 +24,8 @@ element.  :func:`index_profile` evaluates n(x) on a grid and
 :func:`grad_index` gives the analytic transverse derivative of Re n; the
 ray tracer uses its fixed-detuning form :func:`index_gradient`.  The wave
 propagator's screens take n(x) with its complex slope dn/dx from
-:func:`index_and_slope`.
+:func:`index_and_slope`, which builds both on one :func:`complex_chi`
+across the control profile.
 """
 
 from __future__ import annotations
@@ -173,21 +174,21 @@ def index_and_slope(delta: float, x, p: MediumParams, c: ControlField):
     """The complex index n(x) of :func:`index_profile` on an array ``x``,
     and its complex transverse slope dn/dx (1/cm), evaluated together.
 
-    The slope is the closed form whose real part :func:`grad_index` takes,
-        dn/dx = (8*pi*u*q / waist**2) * S / (D**2 * n),
-    with n the returned index, so the complex square root is taken once.
-    It is written as S / D / (D * n): D**2 alone overflows from |delta|
-    near 1.2e77 rad/s, but S / D and D * n stay finite wherever
-    :func:`complex_chi` does.
+    chi comes from :func:`complex_chi` and n from :func:`refractive_index`,
+    on one omega(x), so the exp and the complex square root are taken
+    once.  The slope is the closed form whose real part :func:`grad_index`
+    takes, dn/dx = (8*pi*u*q / waist**2) * S / (D**2 * n), written as
+    chi / (D * n) with chi = S / D: D**2 alone overflows from |delta| near
+    1.2e77 rad/s, but chi and D * n stay finite wherever complex_chi does.
     """
-    n = index_profile(delta, x, p, c)
     omega = rabi_at(x, c)
+    chi = complex_chi(delta, omega, p)
+    n = refractive_index(chi)
     q = omega * omega
     den = q + (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
-    strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
     scale = 2.0 * FOUR_PI / (c.waist * c.waist)
     u = np.asarray(x, dtype=float) - c.center
-    return n, scale * u * q * (strength / den / (den * n))
+    return n, scale * u * q * (chi / (den * n))
 
 
 def grad_index(delta: float, x: float, p: MediumParams, c: ControlField) -> float:

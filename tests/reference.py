@@ -173,26 +173,29 @@ def longdouble_gradient(deltas, media, c):
     return gradient
 
 
-def rk4_exits_longdouble(gradient, x0, length, n_steps):
-    """Classical RK4 for x'' = gradient(x) in np.longdouble: rays launched
-    at rest from the positions x0, one per ray, ``n_steps`` steps across
-    ``length``, the moves summed into the displacement from x0.  Returns
-    the exit angles and the largest |angle| of each ray, sampled after
-    every step, as longdouble arrays.  ``gradient`` maps a longdouble
-    array of positions to their gradients elementwise."""
+def stormer_exits_longdouble(gradient, x0, length, macro_steps=28):
+    """Extrapolated Störmer for x'' = gradient(x) in np.longdouble: rays
+    launched at rest from the positions x0, one per ray, ``macro_steps``
+    steps across ``length``, each step run by Störmer's rule at 2, 4, ...,
+    14 substeps and extrapolated to zero substep length by the
+    Aitken-Neville tableau in h**2.  Returns the exit angles and the
+    largest |angle| of each ray, sampled by the finest count and at the
+    end of every step, as longdouble arrays.  ``gradient`` maps a longdouble array of positions
+    to their gradients elementwise."""
     x0 = np.asarray(x0, dtype=np.longdouble)
-    h = np.longdouble(length) / n_steps
-    half = h / 2
-    u = np.zeros_like(x0)
-    v = np.zeros_like(x0)
+    counts = range(2, 15, 2)
+    step = np.longdouble(length) / macro_steps
+    state = np.zeros((2, x0.size), dtype=np.longdouble)
     peak = np.zeros_like(x0)
-    for _ in range(n_steps):
-        x = x0 + u
-        k1 = gradient(x)
-        k2 = gradient(x + half * v)
-        k3 = gradient(x + half * (v + half * k1))
-        k4 = gradient(x + h * (v + half * k2))
-        u = u + h * (v + h * (k1 + k2 + k3) / 6)
-        v = v + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        peak = np.maximum(peak, np.abs(v))
-    return v, peak
+    for _ in range(macro_steps):
+        g = gradient(x0 + state[0])
+        row = []
+        for j, n in enumerate(counts):
+            end, top = _stormer(gradient, x0, *state, g, step, n)
+            below, row = row, [end]
+            for lower, m in zip(below, reversed(counts[:j])):
+                ratio = np.longdouble(n * n - m * m) / (m * m)
+                row.append(row[-1] + (row[-1] - lower) / ratio)
+        state = row[-1]
+        peak = np.maximum(np.maximum(peak, top), np.abs(state[1]))
+    return state[1], peak

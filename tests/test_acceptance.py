@@ -28,6 +28,7 @@ from eitprism.waves import (
     propagate_medium,
 )
 from eitprism import default_scene
+from eitprism.config import RunConfig, sweep_bounds
 from eitprism.experiment import (
     GLASS_DISPERSION_PER_NM,
     C_LIGHT,
@@ -248,12 +249,13 @@ def test_criterion_5_angular_dispersion():
 def test_criterion_6_spectral_resolution():
     t0 = time.perf_counter()
     sc = default_scene()
-    r_default, cause = spectral_resolution(sc)
+    lo, hi, _ = sweep_bounds(RunConfig())  # the search stops at the stock span
+    r_default, cause = spectral_resolution(sc, hi - lo)
     assert cause is None
     assert 1e10 <= r_default <= 1e13
     # far-field-limited figure: stable under doubling the flight distance
-    r_460, cause_460 = spectral_resolution(dataclasses.replace(sc, detector_distance=460.0))
-    r_920, cause_920 = spectral_resolution(dataclasses.replace(sc, detector_distance=920.0))
+    far = [dataclasses.replace(sc, detector_distance=d) for d in (460.0, 920.0)]
+    (r_460, cause_460), (r_920, cause_920) = (spectral_resolution(f, hi - lo) for f in far)
     assert cause_460 is None and cause_920 is None
     assert r_920 == pytest.approx(r_460, rel=0.10)
     dt = time.perf_counter() - t0

@@ -15,7 +15,7 @@ import eitprism
 from eitprism import default_scene, experiment
 from eitprism.cli import _rows, main
 from eitprism.config import parse_config, scene_from_config
-from eitprism.rays import trace_ray
+from eitprism.rays import exit_angle, trace_ray
 from eitprism.waves import (
     make_gaussian_probe,
     propagate_free,
@@ -460,6 +460,21 @@ def test_trace_bytes_match_per_value_formatting(tmp_path):
     for z, x, angle in traj.states.tolist():
         lines.append(",".join(f"{v:.9g}" for v in (z, x * 10.0, angle)))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_trace_prints_the_scene_ray_that_run_point_reads(capsys):
+    # One ray convention: the rows of `eitprism trace` are scene_ray's
+    # states, and run_point's theta_ray is that ray's exit angle, bit for bit.
+    sc = default_scene()
+    for hz in (1e5, -2e5):
+        traj = experiment.scene_ray(sc, TWO_PI * hz)
+        assert main(["trace", "--detuning-hz", str(hz)]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        states = traj.states
+        want = per_value_rows(states[:, 0], states[:, 1] * 10.0, states[:, 2])
+        assert [",".join(row) for row in rows] == want
+        row = experiment.run_point(sc, TWO_PI * hz)
+        assert row.theta_ray.hex() == exit_angle(traj).hex()
 
 
 def test_trace_reversed_detuning_mirrors(tmp_path, capsys):

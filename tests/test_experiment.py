@@ -25,6 +25,7 @@ from eitprism.waves import (
     transmission,
 )
 from eitprism import default_scene, experiment, waves
+from eitprism.config import RunConfig, sweep_bounds
 from eitprism.experiment import (
     C_LIGHT,
     ProbeSpec,
@@ -49,6 +50,11 @@ DATA = Path(__file__).parent / "data"
 # near-resonance sweep (+-400 kHz, 41 rows), as detuning_sweep spaces them.
 STOCK_DELTAS = [-TWO_PI * 2e7 + i * (TWO_PI * 4e7 / 100) for i in range(101)]
 NEAR_DELTAS = [-TWO_PI * 4e5 + i * (TWO_PI * 8e5 / 40) for i in range(41)]
+
+# The span of the stock sweep (rad/s), the widest separation the stock
+# resolution search tries.
+_LO, _HI, _ = sweep_bounds(RunConfig())
+STOCK_SPAN = _HI - _LO
 
 
 def vacuum_scene(base=None, grid=None):
@@ -561,11 +567,11 @@ def test_row_matches_public_propagation():
 def test_non_finite_detunings_rejected(monkeypatch, bad):
     # Rejected up front: no NaN field is pushed through the slices to come
     # back as a row with empty flags.
+    # Every crossing, lone or stacked, runs waves._cross_stack.
     def no_propagation(*args, **kwargs):
         raise AssertionError("propagated a non-finite detuning")
 
-    monkeypatch.setattr(experiment, "propagate_medium", no_propagation)
-    monkeypatch.setattr(experiment, "propagate_stack", no_propagation)
+    monkeypatch.setattr(waves, "_cross_stack", no_propagation)
     sc = default_scene()
     calls = [
         lambda: run_point(sc, bad),
@@ -720,7 +726,7 @@ def test_spectral_resolution_default_scene(monkeypatch):
         return stack(probe, deltas, *args)
 
     monkeypatch.setattr(experiment, "propagate_stack", counted)
-    r, cause = spectral_resolution(default_scene())
+    r, cause = spectral_resolution(default_scene(), STOCK_SPAN)
     assert r == pytest.approx(1.2413943260318989e10, rel=1e-9)
     assert cause is None
     # 2 + 2 + 4 rows: two fixed-point steps, then the confirming pair;
@@ -743,7 +749,7 @@ def test_spectral_resolution_gives_up_without_power(monkeypatch):
     sc = default_scene()
     dephased = dataclasses.replace(sc.medium, gamma_cb=TWO_PI * 1e6)
     sc = dataclasses.replace(sc, medium=dephased, grid=centered_grid(4096, 12.8))
-    r, cause = spectral_resolution(sc)
+    r, cause = spectral_resolution(sc, STOCK_SPAN)
     assert math.isnan(r)
     assert cause == "resolution_no_power"
     assert calls == [[TWO_PI * 1e3]]
@@ -751,18 +757,18 @@ def test_spectral_resolution_gives_up_without_power(monkeypatch):
 
 def test_spectral_resolution_vacuum_unresolvable():
     sc = vacuum_scene(grid=centered_grid(4096, 12.8))
-    r, cause = spectral_resolution(sc)
+    r, cause = spectral_resolution(sc, STOCK_SPAN)
     assert math.isnan(r)
     assert cause == "unresolved"
-    assert math.isnan(reference_resolution(sc, experiment.RESOLUTION_SEARCH_CAP, 1e-3))
+    assert math.isnan(reference_resolution(sc, STOCK_SPAN, 1e-3))
 
 
 @pytest.mark.parametrize(
     "distance, cap, resolvable",
     [
-        (230.0, TWO_PI * 4e7, True),
+        (230.0, STOCK_SPAN, True),
         (230.0, TWO_PI * 31e3, True),  # needs 30.4 kHz
-        (150.0, TWO_PI * 4e7, True),
+        (150.0, STOCK_SPAN, True),
         (150.0, TWO_PI * 31e3, False),  # needs 35.3 kHz
     ],
 )
@@ -879,7 +885,7 @@ def test_spectral_resolution_safeguards_a_poor_fixed_point(monkeypatch, power):
     monkeypatch.setattr(experiment, "_spots_resolved", spots)
     sc = default_scene()
     omega = TWO_PI * C_LIGHT / sc.medium.wavelength
-    r, cause = spectral_resolution(sc)
+    r, cause = spectral_resolution(sc, STOCK_SPAN)
     assert cause is None
     assert omega / r == pytest.approx(needed, rel=2 * experiment.RESOLUTION_TOL)
     assert confirmed_bracket(verdicts, omega / r)

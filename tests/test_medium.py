@@ -379,6 +379,25 @@ def test_index_slope_matches_finite_difference_and_grad_index():
         assert np.isfinite(slope).all() and np.isfinite(n).all()
 
 
+def test_index_slope_is_the_written_out_closed_form_bitwise():
+    # The slope, built on complex_chi, is the closed form
+    # (8 pi u q / waist^2) S / D / (D n) with chi's numerator S and
+    # denominator D written out here, bit for bit, on every stock,
+    # near-resonance and imaging detuning and where D**2 alone overflows.
+    sc = default_scene()
+    p, c = sc.medium, sc.control
+    xs = experiment.launch_probe(sc).grid.xs()
+    u = xs - c.center
+    omega = c.omega_peak * np.exp(-(u / c.waist) * (u / c.waist))
+    q = omega * omega
+    for delta in SCENE_DELTAS + [1e100, 1e153]:
+        n, slope = index_and_slope(delta, xs, p, c)
+        den = q + (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
+        strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
+        want = (8.0 * math.pi / (c.waist * c.waist)) * u * q * (strength / den / (den * n))
+        assert slope.tobytes() == want.tobytes()
+
+
 def test_validation():
     with pytest.raises(ValueError):
         make_params(wavelength=0.0)

@@ -25,7 +25,7 @@ from eitprism.rays import (
 from eitprism import RunConfig, default_scene, scene_from_config, sweep_bounds
 from eitprism.cli import _rows, main
 from eitprism.experiment import estimate_parameters
-from reference import exit_angles_per_count, longdouble_gradient, rk4_exits_longdouble
+from reference import exit_angles_per_count, longdouble_gradient, stormer_exits_longdouble
 
 TWO_PI = 2.0 * math.pi
 
@@ -775,11 +775,14 @@ DENSE_DELTAS = [TWO_PI * mhz * 1e6 for mhz in (-10.0, -9.6, -4.4, 2.0, 3.6, 7.2)
 
 
 def test_trace_matches_extended_precision_reference():
-    # Against RK4 in np.longdouble at 4x the stock steps, whose own error
-    # (against 8x) is at most 6e-17 of the peak |angle| on these rows: the
-    # stock, near-resonance and imaging rows, the grazing 5.38 MHz row and
-    # the dense cell's near-limit rows.  The trace at the stock steps is
-    # within 1e-13 of the peak |angle| on every row (1.2e-14 at most;
+    # Against extrapolated Störmer in np.longdouble (28 steps of 2...14
+    # substeps), whose own error is at most 1.6e-16 of the peak |angle| on
+    # these rows against the same at 56 steps, and 1.4e-16 against RK4 in
+    # longdouble at 40000 steps: the stock, near-resonance and imaging
+    # rows, the grazing 5.38 MHz row and the dense cell's near-limit rows.
+    # Its sampled peak is within 1.2e-4 of RK4's, and the near-limit rows
+    # peak at least 3e-4 from PARAXIAL_LIMIT.  The trace at the stock steps
+    # is within 1e-13 of the peak |angle| on every row (1.2e-14 at most;
     # RK4, which summed its steps into the absolute x, was 1.5e-11 off at
     # 5.38 MHz), and its paraxial flags are the reference's and RK4's.
     stock = default_scene()
@@ -791,11 +794,8 @@ def test_trace_matches_extended_precision_reference():
     gradient = longdouble_gradient(
         [d for d, _ in rows], [sc.medium for _, sc in rows], stock.control
     )
-    want, peak = rk4_exits_longdouble(
-        gradient,
-        np.full(len(rows), stock.probe.offset),
-        stock.medium.cell_length,
-        4 * stock.ray_steps,
+    want, peak = stormer_exits_longdouble(
+        gradient, np.full(len(rows), stock.probe.offset), stock.medium.cell_length
     )
     flags = []
     for (delta, sc), exact, top in zip(rows, want, peak):
