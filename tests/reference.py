@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from eitprism import experiment
+from eitprism import experiment, waves
+from eitprism.config import RunConfig, sweep_bounds
 from eitprism.medium import FOUR_PI, eta, index_and_slope, index_profile
 from eitprism.rays import (
     CERTIFY_TOL,
@@ -14,6 +15,41 @@ from eitprism.rays import (
     PARAXIAL_LIMIT,
 )
 from eitprism.waves import OPAQUE_LEVEL, GuardBandError, _check_guard, _free_kernel
+
+TWO_PI = 2.0 * math.pi
+
+
+def sweep_deltas(d_min, d_max, n_points):
+    """detuning_sweep's detunings: row i at d_min + i * step, and the middle
+    row of an odd-length sweep at the midpoint d_min + 0.5 * (d_max - d_min)."""
+    step = (d_max - d_min) / (n_points - 1)
+    deltas = [d_min + i * step for i in range(n_points)]
+    if n_points % 2:
+        deltas[n_points // 2] = d_min + 0.5 * (d_max - d_min)
+    return deltas
+
+
+# The benchmark's detunings (rad/s): the stock sweep (+-20 MHz, 101 rows),
+# the near-resonance sweep (+-400 kHz, 41 rows) and the imaging profile's 8.
+STOCK_DELTAS = sweep_deltas(*sweep_bounds(RunConfig()))
+NEAR_DELTAS = sweep_deltas(TWO_PI * -4e5, TWO_PI * 4e5, 41)
+IMAGING_HZ = [1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5]
+IMAGING_DELTAS = [TWO_PI * hz for hz in IMAGING_HZ]
+SCENE_DELTAS = STOCK_DELTAS + NEAR_DELTAS + IMAGING_DELTAS
+
+
+def record_crossings(monkeypatch):
+    """Patch the one split-step loop, waves._cross_stack: the returned
+    list gets (rows, grid) for each stack crossed, a lone row included."""
+    crossings = []
+    crossed = waves._cross_stack
+
+    def recorded(field, deltas, *args):
+        crossings.append((len(deltas), field.grid))
+        return crossed(field, deltas, *args)
+
+    monkeypatch.setattr(waves, "_cross_stack", recorded)
+    return crossings
 
 
 def lone_crossing(field, delta, p, c, n_slices):
@@ -94,7 +130,7 @@ def reference_resolution(scene, cap, rel_tol):
             hi = mid
         else:
             lo = mid
-    return 2.0 * math.pi * experiment.C_LIGHT / scene.medium.wavelength / hi
+    return TWO_PI * experiment.C_LIGHT / scene.medium.wavelength / hi
 
 
 def _stormer(gradient, x0, u, v, g, step, n):

@@ -38,8 +38,7 @@ from eitprism.experiment import (
     run_point,
     spectral_resolution,
 )
-
-TWO_PI = 2.0 * math.pi
+from reference import TWO_PI
 
 
 def _random_point(rng):

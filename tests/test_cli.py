@@ -22,8 +22,8 @@ from eitprism.waves import (
     propagate_medium,
     transmission,
 )
+from reference import TWO_PI, record_crossings
 
-TWO_PI = 2.0 * math.pi
 DATA = Path(__file__).parent / "data"
 
 # Coarser grid over the default window: keeps the summary computations
@@ -106,8 +106,8 @@ def test_chi_bytes(tmp_path, flags, name):
 
 @pytest.mark.parametrize(
     "points, lo, hi",
-    # A centred range whose rad/s grid misses 0 by round-off: both commands
-    # print the detuning simulated, round-off included, in the centre row.
+    # A range off centre, and one centred on zero: the centre row of each
+    # prints the midpoint, 0 for the second rather than round-off.
     [("7", "-3.3e4", "7.7e4"), ("49", "-2e3", "2e3")],
     ids=["uneven", "centred"],
 )
@@ -123,6 +123,7 @@ def test_chi_and_sweep_print_the_same_detunings(tmp_path, capsys, points, lo, hi
     assert len(chi_rows) == int(points)
     assert [r[0] for r in chi_rows] == [r[0] for r in sweep_rows]
     assert float(chi_rows[0][0]) == float(lo) and float(chi_rows[-1][0]) == float(hi)
+    assert chi_rows[int(points) // 2][0] == f"{(float(lo) + float(hi)) / 2:.9g}"
 
 
 def test_sweep_files_and_schema(tmp_path):
@@ -162,15 +163,15 @@ def test_sweep_byte_determinism(tmp_path):
 
 
 def test_batched_sweep_determinism(tmp_path, monkeypatch):
-    # At RAY_BATCH_ROWS rows a sweep integrates all of its rays as one
-    # batch and certifies every exit angle (it calls no trace_ray, its
-    # fallback); rows and CLI bytes stay the same across thread counts and
-    # reruns, opaque NaN rows included.  The batch does not read ray_steps.
+    # A sweep of 30 rows integrates all of its rays as one batch and
+    # certifies every exit angle (it calls no trace_ray, its fallback);
+    # rows and CLI bytes stay the same across thread counts and reruns,
+    # opaque NaN rows included.  The batch does not read ray_steps.
     def per_row(*args):
         raise AssertionError("a batched sweep ran trace_ray")
 
     monkeypatch.setattr(experiment, "trace_ray", per_row)
-    n = experiment.RAY_BATCH_ROWS
+    n = 30
     sc = dataclasses.replace(default_scene(), ray_steps=1000)
     rows = [experiment.detuning_sweep(sc, -TWO_PI * 1e7, TWO_PI * 1e7, n, threads=t)
             for t in (1, 4)]
@@ -408,31 +409,26 @@ def test_profile_bytes_match_per_value_formatting(tmp_path, raw):
 
 
 def test_profile_crosses_cell_on_probe_window(monkeypatch, capsys):
-    # The cell is crossed on the sweep rows' probe window, 1024 of the
-    # stock 16384 points; only the flight to the detector uses the whole
-    # grid.
-    grids = {"medium": [], "free": []}
+    # The cell is crossed, as one row, on the sweep rows' probe window,
+    # 1024 of the stock 16384 points; only the flight to the detector uses
+    # the whole grid.
+    crossings = record_crossings(monkeypatch)
+    free = []
+    real = experiment.propagate_free
 
-    def recorded(key, real):
-        def call(field, *args):
-            grids[key].append(field.grid)
-            return real(field, *args)
+    def recorded(field, *args):
+        free.append(field.grid)
+        return real(field, *args)
 
-        return call
-
-    monkeypatch.setattr(
-        experiment, "propagate_medium", recorded("medium", experiment.propagate_medium)
-    )
-    monkeypatch.setattr(
-        experiment, "propagate_free", recorded("free", experiment.propagate_free)
-    )
+    monkeypatch.setattr(experiment, "propagate_free", recorded)
     assert main(["profile", "--detuning-hz", "1e5"]) == 0
     _, rows = rows_of(capsys.readouterr().out)
     sc = default_scene()
     assert len(rows) == sc.grid.n_points
-    (window,) = grids["medium"]
+    [(_, window)] = crossings
+    assert crossings == [(1, window)]
     assert window.n_points == 1024 and window.dx == sc.grid.dx
-    assert grids["free"] == [sc.grid]
+    assert free == [sc.grid]
 
 
 def test_trace_schema_and_vacuum(tmp_path, capsys):
@@ -670,15 +666,9 @@ def test_exit_code_profile_walks_off_window_and_grid(tmp_path, capsys, monkeypat
     # The probe sits 3.8 mm left of the centre of a 16 mm grid, on the
     # control beam's steep flank, and its 1024-point window covers half of
     # the grid.  The walk trips the guard on the window and then on the
-    # whole grid; the second trip is the one reported.
-    grids = []
-    real = experiment.propagate_medium
-
-    def recorded(field, *args):
-        grids.append(field.grid)
-        return real(field, *args)
-
-    monkeypatch.setattr(experiment, "propagate_medium", recorded)
+    # whole grid; the second trip is the one reported.  Each crossing is
+    # one row.
+    crossings = record_crossings(monkeypatch)
     offset_mm = eitprism.RunConfig().probe_offset_mm
     body = (
         WALK_KEYS + "grid_points: 2048\ngrid_span_mm: 16\nprobe_offset_mm: -3.8\n"
@@ -688,8 +678,8 @@ def test_exit_code_profile_walks_off_window_and_grid(tmp_path, capsys, monkeypat
     assert main(["profile", "--config", cfg, "--detuning-hz", "-175000"]) == 3
     assert "enlarge the grid span" in capsys.readouterr().err
     sc = scene_from_config(parse_config(body))
-    assert [g.n_points for g in grids] == [1024, 2048]
-    assert grids[1] == sc.grid
+    assert [(rows, g.n_points) for rows, g in crossings] == [(1, 1024), (1, 2048)]
+    assert crossings[1][1] == sc.grid
 
 
 def test_exit_code_profile_walks_off_whole_grid(tmp_path, capsys):

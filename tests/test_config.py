@@ -14,8 +14,7 @@ from eitprism.config import (
     sweep_bounds,
 )
 from eitprism import default_scene
-
-TWO_PI = 2.0 * math.pi
+from reference import TWO_PI
 
 
 def test_empty_and_comments_give_defaults():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eitprism.medium import ControlField, MediumParams, rabi_at
+from eitprism.medium import ControlField, rabi_at
 from eitprism.waves import (
     Grid1D,
     GuardBandError,
@@ -29,7 +29,6 @@ from eitprism.config import RunConfig, sweep_bounds
 from eitprism.experiment import (
     C_LIGHT,
     ProbeSpec,
-    Scene,
     angular_dispersion,
     detuning_sweep,
     estimate_parameters,
@@ -37,19 +36,13 @@ from eitprism.experiment import (
     spectral_resolution,
     sweep_detunings,
 )
-from reference import lone_crossing, reference_resolution, strang_crossing
-
-TWO_PI = 2.0 * math.pi
+from reference import IMAGING_DELTAS, NEAR_DELTAS, STOCK_DELTAS, TWO_PI, lone_crossing
+from reference import record_crossings, reference_resolution, strang_crossing, sweep_deltas
 
 # The ray the summary's pairs give their rows: none traced.
 NO_RAY = (math.nan, False)
 
 DATA = Path(__file__).parent / "data"
-
-# The detunings of the stock sweep (+-20 MHz, 101 rows) and of the
-# near-resonance sweep (+-400 kHz, 41 rows), as detuning_sweep spaces them.
-STOCK_DELTAS = [-TWO_PI * 2e7 + i * (TWO_PI * 4e7 / 100) for i in range(101)]
-NEAR_DELTAS = [-TWO_PI * 4e5 + i * (TWO_PI * 8e5 / 40) for i in range(41)]
 
 # The span of the stock sweep (rad/s), the widest separation the stock
 # resolution search tries.
@@ -252,20 +245,6 @@ def test_run_point_far_detector_needs_no_far_grid():
     assert row.far_centroid == pytest.approx(centroid(far), rel=1e-9, abs=1e-10)
     assert row.far_width == pytest.approx(beam_width(far), rel=1e-9)
     assert row.far_width > 0.5 * sc.grid.span
-
-
-def record_crossings(monkeypatch):
-    """Patch the one split-step loop, waves._cross_stack: the returned
-    list gets (rows, grid) for each stack crossed, a lone row included."""
-    crossings = []
-    crossed = waves._cross_stack
-
-    def recorded(field, deltas, *args):
-        crossings.append((len(deltas), field.grid))
-        return crossed(field, deltas, *args)
-
-    monkeypatch.setattr(waves, "_cross_stack", recorded)
-    return crossings
 
 
 def walk_scene():
@@ -472,10 +451,9 @@ def test_split_step_is_accurate_at_the_stock_slices():
     # with half its weight, the crossing is second order and about 1e-6
     # off.  The residual is not a clean x16 per doubling: the paraxial
     # commutator in the correction is not exact for the exact kernel.
-    deltas = [TWO_PI * hz for hz in (1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5)]
     sc = default_scene()
     assert sc.n_slices == 64
-    rows = experiment._rows(sc, deltas, [NO_RAY] * len(deltas))
+    rows = experiment._rows(sc, IMAGING_DELTAS, [NO_RAY] * len(IMAGING_DELTAS))
     got = np.array(
         [(r.theta_wave, r.far_centroid, r.far_width, r.transmission) for r in rows]
     )
@@ -488,7 +466,7 @@ def test_split_step_is_accurate_at_the_stock_slices():
         return np.array([theta, far_centroid, far_width, transmission(probe, out)])
 
     want = np.array(
-        [(4.0 * readout(1600, delta) - readout(800, delta)) / 3.0 for delta in deltas]
+        [(4.0 * readout(1600, d) - readout(800, d)) / 3.0 for d in IMAGING_DELTAS]
     )
     error = np.max(abs(got - want) / abs(want), axis=0)
     assert np.all(error <= [1e-10, 1e-10, 1e-10, 2e-9]), error
@@ -622,7 +600,7 @@ def test_uncertified_sweep_rows_cross_in_the_sweep_stack(monkeypatch):
 
     monkeypatch.setattr(experiment, "ray_exits", every_seventh_uncertified)
     crossings = record_crossings(monkeypatch)
-    n = experiment.RAY_BATCH_ROWS
+    n = 30
     rows = detuning_sweep(sc, -TWO_PI * 4e5, TWO_PI * 4e5, n)
     assert crossings == [(n, experiment.launch_probe(sc).grid)]
     deltas = [r.detuning for r in rows]
@@ -660,7 +638,7 @@ def test_paraxial_rows_carry_the_flag():
             assert "%.9g" % row.theta_ray == "%.9g" % ref.theta_ray
         else:
             assert repr(row) == repr(ref)
-    # A short sweep is run_point row by row; its +6.67 MHz row is paraxial.
+    # A 7-row sweep's +6.67 MHz row is paraxial too.
     short = detuning_sweep(sc, -TWO_PI * 2e7, TWO_PI * 2e7, 7)
     assert [r.flags for r in short] == [
         ("opaque",), ("opaque",), ("opaque",), ("low_power",),
@@ -691,11 +669,28 @@ def test_sweep_detunings():
         detuning_sweep(default_scene(), -1.2e308, 1.2e308, 3)
 
 
+def test_sweep_centre_row_is_the_midpoint():
+    # The middle row of an odd-length sweep is d_min + 0.5 (d_max - d_min),
+    # so a range centred on zero samples 0 exactly.  On these 1200 ranges
+    # (3 to 401 points, half-widths 100 Hz to 20 MHz) the grid
+    # d_min + i * step alone missed 0 on 125, by 2.9e-13 Hz at 49 points
+    # over +-2 kHz.  The first row is d_min; the last, d_min + (n - 1) step,
+    # is within 2 ulp of d_max (off on 125 of them); the rows increase.
+    for hz in (1e2, 2e3, 5e4, 4e5, 1e6, 2e7):
+        lo, hi = TWO_PI * -hz, TWO_PI * hz
+        for n in range(3, 402, 2):
+            deltas = sweep_detunings(lo, hi, n)
+            assert deltas == sweep_deltas(lo, hi, n)
+            assert repr(deltas[n // 2]) == "0.0"
+            assert deltas[0] == lo and abs(deltas[-1] - hi) <= 2.0 * math.ulp(hi)
+            assert all(a < b for a, b in zip(deltas, deltas[1:]))
+
+
 @pytest.mark.parametrize("n", [5, 41])
 def test_sweep_numpy_scalar_bounds(n):
     # np.float64 bounds give the rows of Python float bounds, bit for bit:
-    # the rows carry float detunings, and run_point's traced rays (below
-    # RAY_BATCH_ROWS rows) do not take numpy's complex arithmetic.
+    # the rows carry float detunings, so no traced ray takes numpy's
+    # complex arithmetic.
     sc = default_scene()
     lo, hi = -TWO_PI * 2e6, TWO_PI * 2e6
     want = detuning_sweep(sc, lo, hi, n)

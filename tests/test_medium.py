@@ -21,16 +21,7 @@ from eitprism.medium import (
 )
 
 from eitprism import default_scene, experiment
-
-TWO_PI = 2.0 * math.pi
-
-# The detunings (rad/s) of the stock sweep (+-20 MHz, 101 rows), of the
-# near-resonance sweep (+-400 kHz, 41 rows) and of the imaging profile.
-SCENE_DELTAS = (
-    [-TWO_PI * 2e7 + i * (TWO_PI * 4e7 / 100) for i in range(101)]
-    + [-TWO_PI * 4e5 + i * (TWO_PI * 8e5 / 40) for i in range(41)]
-    + [TWO_PI * hz for hz in (1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5)]
-)
+from reference import SCENE_DELTAS, TWO_PI
 
 
 def make_params(**kw):

@@ -14,7 +14,6 @@ from eitprism.rays import (
     EXTRAPOLATIONS,
     MACRO_STEPS,
     PARAXIAL_LIMIT,
-    Trajectory,
     deflection_estimate,
     exit_angle,
     exit_angles,
@@ -22,12 +21,11 @@ from eitprism.rays import (
     ray_exits,
     trace_ray,
 )
-from eitprism import RunConfig, default_scene, scene_from_config, sweep_bounds
+from eitprism import RunConfig, default_scene, scene_from_config
 from eitprism.cli import _rows, main
 from eitprism.experiment import estimate_parameters
+from reference import IMAGING_DELTAS, IMAGING_HZ, NEAR_DELTAS, STOCK_DELTAS, TWO_PI
 from reference import exit_angles_per_count, longdouble_gradient, stormer_exits_longdouble
-
-TWO_PI = 2.0 * math.pi
 
 
 def test_linear_gradient_stub():
@@ -376,7 +374,7 @@ def test_stub_matches_per_step_reference_bitwise(gradient, x0, theta0, length):
     assert traj.paraxial_violation
 
 
-@pytest.mark.parametrize("detuning_hz", [1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5])
+@pytest.mark.parametrize("detuning_hz", IMAGING_HZ)
 def test_trace_prints_rk4_bytes_at_imaging_detunings(tmp_path, detuning_hz):
     # The Adams pair moves the imaging traces by less than the printed 9
     # digits: the CSV equals RK4's, as the trace stepped before it.
@@ -448,18 +446,6 @@ def test_estimate_matches_trace_for_small_walk():
     walk = abs(traj.states[-1, 1] - sc.probe.offset)
     assert walk < sc.control.waist / 10.0
     assert exit_angle(traj) == pytest.approx(est, rel=0.05)
-
-
-def _sweep_deltas(d_min, d_max, n_points):
-    """The detunings of a sweep, as detuning_sweep spaces them."""
-    step = (d_max - d_min) / (n_points - 1)
-    return [d_min + i * step for i in range(n_points)]
-
-
-STOCK_DELTAS = _sweep_deltas(*sweep_bounds(RunConfig()))
-# The rows of the near-resonance benchmark and the imaging detunings.
-NEAR_DELTAS = _sweep_deltas(TWO_PI * -4e5, TWO_PI * 4e5, 41)
-IMAGING_DELTAS = [TWO_PI * hz for hz in (1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5)]
 
 
 def _assert_matches_scalar_traces(deltas):

@@ -36,9 +36,7 @@ from eitprism.waves import (
 )
 from eitprism import default_scene, experiment, waves
 import reference
-from reference import lone_crossing
-
-TWO_PI = 2.0 * math.pi
+from reference import SCENE_DELTAS, TWO_PI, lone_crossing
 LAM = 7.95e-5  # cm
 
 
@@ -334,13 +332,8 @@ def test_screens_never_amplify():
     # strongly absorbing rows, but at most 4.3e-4 of the main exponent.
     sc = default_scene()
     probe = experiment.launch_probe(sc)
-    deltas = (
-        [-TWO_PI * 2e7 + i * (TWO_PI * 4e7 / 100) for i in range(101)]
-        + [-TWO_PI * 4e5 + i * (TWO_PI * 8e5 / 40) for i in range(41)]
-        + [TWO_PI * hz for hz in (1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5)]
-    )
-    screens = waves._screens(probe, deltas, sc.medium, sc.control, sc.n_slices)
-    assert screens.shape == (len(deltas), probe.grid.n_points)
+    screens = waves._screens(probe, SCENE_DELTAS, sc.medium, sc.control, sc.n_slices)
+    assert screens.shape == (len(SCENE_DELTAS), probe.grid.n_points)
     assert np.all(np.abs(screens) <= 1.0)
     assert np.abs(screens).max() < math.exp(-1.9e-2)
 
