@@ -355,9 +355,10 @@ def profile(scene: Scene, deltas: Sequence[float]) -> list[TransverseField]:
 def sweep_detunings(d_min: float, d_max: float, n_points: int) -> list[float]:
     """A sweep's detunings: n_points Python floats evenly spaced on [d_min, d_max].
 
-    Row i is d_min + i * step, except that the middle row of an odd-length
-    sweep is the midpoint d_min + 0.5 * (d_max - d_min), so that a range
-    centred on zero samples 0 exactly rather than round-off."""
+    Row i is d_min + i * (d_max - d_min) / (n_points - 1), except that the
+    last row is d_max and the middle row of an odd-length sweep is the
+    midpoint d_min + 0.5 * (d_max - d_min), so that a range centred on zero
+    samples 0 exactly rather than round-off."""
     d_min, d_max = float(d_min), float(d_max)
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -365,8 +366,7 @@ def sweep_detunings(d_min: float, d_max: float, n_points: int) -> list[float]:
         raise ValueError("sweep bounds and their span must be finite")
     if not d_max > d_min:
         raise ValueError("d_max must exceed d_min")
-    step = (d_max - d_min) / (n_points - 1)
-    deltas = (d_min + np.arange(n_points) * step).tolist()
+    deltas = np.linspace(d_min, d_max, n_points).tolist()
     if n_points % 2:
         deltas[n_points // 2] = d_min + 0.5 * (d_max - d_min)
     return deltas

@@ -1,29 +1,57 @@
-"""Reference computations shared by the test modules."""
+"""Reference computations shared by the test modules, each written once:
 
+- detunings (rad/s): ``TWO_PI``, ``sweep_deltas`` and the benchmark
+  workloads' ``STOCK_DELTAS``, ``NEAR_DELTAS``, ``IMAGING_HZ`` and
+  ``IMAGING_DELTAS``, and ``SCENE_DELTAS``, all 150 of them;
+- ``scene_exit``: the stock scene's traced exit angle and paraxial flag,
+  cached, so that each ray is traced once per run;
+- media: ``vacuum``, a cell without atoms, and ``random_point``, a random
+  detuning, coupling and medium;
+- rays: ``chain_rule_gradient``, ``exit_angles_per_count`` and the
+  extended-precision ``longdouble_gradient`` and
+  ``stormer_exits_longdouble``;
+- crossings: ``record_crossings``, ``lone_crossing``, ``strang_crossing``
+  and ``whole_grid_transmission``;
+- ``reference_resolution``, spectral_resolution by doubling and bisection.
+"""
+
+import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from eitprism import experiment, waves
+from eitprism import default_scene, experiment, waves
 from eitprism.config import RunConfig, sweep_bounds
-from eitprism.medium import FOUR_PI, eta, index_and_slope, index_profile
+from eitprism.medium import FOUR_PI, MediumParams, eta, index_and_slope, index_profile
 from eitprism.rays import (
     CERTIFY_TOL,
     EXTRAPOLATIONS,
     FLAG_MARGIN,
     MACRO_STEPS,
     PARAXIAL_LIMIT,
+    exit_angle,
+    trace_ray,
 )
-from eitprism.waves import OPAQUE_LEVEL, GuardBandError, _check_guard, _free_kernel
+from eitprism.waves import (
+    OPAQUE_LEVEL,
+    GuardBandError,
+    _check_guard,
+    _free_kernel,
+    make_gaussian_probe,
+    propagate_medium,
+    transmission,
+)
 
 TWO_PI = 2.0 * math.pi
 
 
 def sweep_deltas(d_min, d_max, n_points):
-    """detuning_sweep's detunings: row i at d_min + i * step, and the middle
-    row of an odd-length sweep at the midpoint d_min + 0.5 * (d_max - d_min)."""
+    """detuning_sweep's detunings: row i at d_min + i * step, the last row at
+    d_max, and the middle row of an odd-length sweep at the midpoint
+    d_min + 0.5 * (d_max - d_min)."""
     step = (d_max - d_min) / (n_points - 1)
-    deltas = [d_min + i * step for i in range(n_points)]
+    deltas = [d_min + i * step for i in range(n_points - 1)] + [d_max]
     if n_points % 2:
         deltas[n_points // 2] = d_min + 0.5 * (d_max - d_min)
     return deltas
@@ -36,6 +64,68 @@ NEAR_DELTAS = sweep_deltas(TWO_PI * -4e5, TWO_PI * 4e5, 41)
 IMAGING_HZ = [1e4, -1e4, 1e5, -1e5, 2e5, -2e5, 4e5, -4e5]
 IMAGING_DELTAS = [TWO_PI * hz for hz in IMAGING_HZ]
 SCENE_DELTAS = STOCK_DELTAS + NEAR_DELTAS + IMAGING_DELTAS
+
+
+@functools.cache
+def scene_exit(delta):
+    """The stock scene's ray at ``delta`` traced at its ray_steps, as
+    (exit angle, paraxial flag): each detuning is traced once per run."""
+    sc = default_scene()
+    traj = trace_ray(delta, sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps)
+    return exit_angle(traj), traj.paraxial_violation
+
+
+def vacuum(medium):
+    """``medium`` with no atoms in the cell."""
+    return dataclasses.replace(medium, density=0.0)
+
+
+def random_point(rng):
+    """(delta, omega, medium) drawn over wide ranges of every parameter.
+    Omega is tied to gamma (coupling from well below to tens of
+    linewidths), which keeps the two forms of chi well conditioned near
+    their common zeros."""
+    p = MediumParams(
+        wavelength=10.0 ** rng.uniform(-4.5, -3.5),
+        density=10.0 ** rng.uniform(9.0, 14.0),
+        gamma_r=TWO_PI * 10.0 ** rng.uniform(5.0, 8.0),
+        gamma=TWO_PI * 10.0 ** rng.uniform(4.0, 9.5),
+        gamma_cb=TWO_PI * 10.0 ** rng.uniform(0.0, 6.0),
+        cell_length=10.0 ** rng.uniform(-1.0, 1.5),
+    )
+    omega = 0.0 if rng.uniform() < 0.05 else p.gamma * 10.0 ** rng.uniform(-3.0, 1.5)
+    if rng.uniform() < 0.05:
+        delta = 0.0
+    else:
+        delta = rng.choice([-1.0, 1.0]) * TWO_PI * 10.0 ** rng.uniform(0.0, 9.0)
+    return delta, omega, p
+
+
+def chain_rule_gradient(delta, p, c):
+    """The gradient closure as the chain rule through n(chi(omega(x))):
+    an independent kernel that rounds differently from the closed form."""
+    rates = (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
+    strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
+    inv_w2 = 1.0 / (c.waist * c.waist)
+
+    def gradient(x):
+        u = x - c.center
+        om = c.omega_peak * math.exp(-u * u * inv_w2)
+        den = om * om + rates
+        chi = strength / den
+        n = (1.0 + 4.0 * math.pi * chi) ** 0.5
+        dom_dx = -2.0 * u * inv_w2 * om
+        return ((2.0 * math.pi / n) * (-2.0 * om * chi / den) * dom_dx).real
+
+    return gradient
+
+
+def whole_grid_transmission(sc, delta):
+    """The transmission of the scene's probe crossing the cell on the
+    whole grid, by propagate_medium."""
+    probe = make_gaussian_probe(sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset)
+    out = propagate_medium(probe, delta, sc.medium, sc.control, sc.n_slices)
+    return transmission(probe, out)
 
 
 def record_crossings(monkeypatch):

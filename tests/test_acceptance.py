@@ -12,12 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from eitprism.medium import (
-    MediumParams,
-    complex_chi,
-    rabi_at,
-    re_chi,
-)
+from eitprism.medium import complex_chi, rabi_at, re_chi
 from eitprism.rays import deflection_estimate, exit_angle, trace_ray
 from eitprism.waves import (
     make_gaussian_probe,
@@ -38,26 +33,7 @@ from eitprism.experiment import (
     run_point,
     spectral_resolution,
 )
-from reference import TWO_PI
-
-
-def _random_point(rng):
-    # Coupling tied to the linewidth keeps the two expressions well
-    # conditioned near their common zeros.
-    p = MediumParams(
-        wavelength=10.0 ** rng.uniform(-4.5, -3.5),
-        density=10.0 ** rng.uniform(9.0, 14.0),
-        gamma_r=TWO_PI * 10.0 ** rng.uniform(5.0, 8.0),
-        gamma=TWO_PI * 10.0 ** rng.uniform(4.0, 9.5),
-        gamma_cb=TWO_PI * 10.0 ** rng.uniform(0.0, 6.0),
-        cell_length=10.0 ** rng.uniform(-1.0, 1.5),
-    )
-    omega = 0.0 if rng.uniform() < 0.05 else p.gamma * 10.0 ** rng.uniform(-3.0, 1.5)
-    if rng.uniform() < 0.05:
-        delta = 0.0
-    else:
-        delta = rng.choice([-1.0, 1.0]) * TWO_PI * 10.0 ** rng.uniform(0.0, 9.0)
-    return delta, omega, p
+from reference import TWO_PI, random_point
 
 
 def test_criterion_1_susceptibility_identity():
@@ -65,7 +41,7 @@ def test_criterion_1_susceptibility_identity():
     rng = np.random.default_rng(795)
     worst = 0.0
     for _ in range(12_000):
-        delta, omega, p = _random_point(rng)
+        delta, omega, p = random_point(rng)
         a = re_chi(delta, omega, p)
         chi = complex_chi(delta, omega, p)
         scale = max(abs(a), abs(chi))
@@ -80,7 +56,7 @@ def test_criterion_1_susceptibility_identity():
     # three dispersive zero crossings: resonance and +-sqrt(Omega^2-gamma_cb^2)
     checked = 0
     while checked < 200:
-        _, omega, p = _random_point(rng)
+        _, omega, p = random_point(rng)
         if omega <= 2.0 * p.gamma_cb:
             continue
         z = math.sqrt(omega**2 - p.gamma_cb**2)

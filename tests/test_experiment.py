@@ -38,6 +38,7 @@ from eitprism.experiment import (
 )
 from reference import IMAGING_DELTAS, NEAR_DELTAS, STOCK_DELTAS, TWO_PI, lone_crossing
 from reference import record_crossings, reference_resolution, strang_crossing, sweep_deltas
+from reference import vacuum, whole_grid_transmission
 
 # The ray the summary's pairs give their rows: none traced.
 NO_RAY = (math.nan, False)
@@ -52,10 +53,9 @@ STOCK_SPAN = _HI - _LO
 
 def vacuum_scene(base=None, grid=None):
     sc = base or default_scene()
-    empty = dataclasses.replace(sc.medium, density=0.0)
     if grid is not None:
         sc = dataclasses.replace(sc, grid=grid)
-    return dataclasses.replace(sc, medium=empty)
+    return dataclasses.replace(sc, medium=vacuum(sc.medium))
 
 
 def test_default_scene_values():
@@ -297,11 +297,7 @@ def test_row_crosses_whole_grid_after_window_trip(monkeypatch):
     (_, window), (_, whole) = crossings
     assert window.n_points == 512 and window.dx == sc.grid.dx
     assert whole == sc.grid
-    probe = make_gaussian_probe(
-        sc.grid, sc.medium.wavelength, sc.probe.waist, sc.probe.offset
-    )
-    out = propagate_medium(probe, delta, sc.medium, sc.control, sc.n_slices)
-    assert row.transmission == pytest.approx(transmission(probe, out), rel=1e-9)
+    assert row.transmission == pytest.approx(whole_grid_transmission(sc, delta), rel=1e-9)
     crossings.clear()
     rows = list(experiment._rows(sc, [0.0, delta, TWO_PI * 1e5], [NO_RAY] * 3))
     assert crossings == [(3, window), (1, whole)]
@@ -671,19 +667,29 @@ def test_sweep_detunings():
 
 def test_sweep_centre_row_is_the_midpoint():
     # The middle row of an odd-length sweep is d_min + 0.5 (d_max - d_min),
-    # so a range centred on zero samples 0 exactly.  On these 1200 ranges
-    # (3 to 401 points, half-widths 100 Hz to 20 MHz) the grid
+    # so a range centred on zero samples 0 exactly.  On these 1200 odd
+    # ranges (3 to 401 points, half-widths 100 Hz to 20 MHz) the grid
     # d_min + i * step alone missed 0 on 125, by 2.9e-13 Hz at 49 points
-    # over +-2 kHz.  The first row is d_min; the last, d_min + (n - 1) step,
-    # is within 2 ulp of d_max (off on 125 of them); the rows increase.
-    for hz in (1e2, 2e3, 5e4, 4e5, 1e6, 2e7):
-        lo, hi = TWO_PI * -hz, TWO_PI * hz
-        for n in range(3, 402, 2):
-            deltas = sweep_detunings(lo, hi, n)
-            assert deltas == sweep_deltas(lo, hi, n)
+    # over +-2 kHz.  The first row is d_min and the last d_max, which
+    # d_min + (n - 1) step missed by up to 2 ulp on 125 of them; the rows
+    # increase.  Even counts and random asymmetric ranges are checked too.
+    rng = np.random.default_rng(672)
+    ranges = [
+        (TWO_PI * -hz, TWO_PI * hz, n)
+        for hz in (1e2, 2e3, 5e4, 4e5, 1e6, 2e7)
+        for n in range(2, 402)
+    ]
+    for _ in range(2000):
+        lo = TWO_PI * rng.uniform(-2e7, 2e7)
+        hi = lo + TWO_PI * 10.0 ** rng.uniform(2.0, 7.6)
+        ranges.append((lo, hi, int(rng.integers(2, 402))))
+    for lo, hi, n in ranges:
+        deltas = sweep_detunings(lo, hi, n)
+        assert deltas == sweep_deltas(lo, hi, n)
+        if n % 2 and lo == -hi:
             assert repr(deltas[n // 2]) == "0.0"
-            assert deltas[0] == lo and abs(deltas[-1] - hi) <= 2.0 * math.ulp(hi)
-            assert all(a < b for a, b in zip(deltas, deltas[1:]))
+        assert deltas[0] == lo and deltas[-1] == hi
+        assert all(a < b for a, b in zip(deltas, deltas[1:]))
 
 
 @pytest.mark.parametrize("n", [5, 41])

@@ -21,7 +21,7 @@ from eitprism.medium import (
 )
 
 from eitprism import default_scene, experiment
-from reference import SCENE_DELTAS, TWO_PI
+from reference import SCENE_DELTAS, TWO_PI, chain_rule_gradient, random_point
 
 
 def make_params(**kw):
@@ -40,29 +40,6 @@ def make_params(**kw):
 # Parameter set behind the textbook theta ~ 0.1 estimate: hot dense cell,
 # Doppler-broadened line, weak tight control beam.
 ESTIMATE = make_params(density=1e13, gamma=TWO_PI * 300e6, cell_length=10.0)
-
-
-def random_params(rng):
-    return make_params(
-        wavelength=10.0 ** rng.uniform(-4.5, -3.5),
-        density=10.0 ** rng.uniform(9.0, 14.0),
-        gamma_r=TWO_PI * 10.0 ** rng.uniform(5.0, 8.0),
-        gamma=TWO_PI * 10.0 ** rng.uniform(4.0, 9.5),
-        gamma_cb=TWO_PI * 10.0 ** rng.uniform(0.0, 6.0),
-        cell_length=10.0 ** rng.uniform(-1.0, 1.5),
-    )
-
-
-def random_point(rng):
-    # Omega is tied to gamma (coupling from well below to tens of linewidths)
-    # so the comparison stays well conditioned near the curve zeros.
-    p = random_params(rng)
-    omega = 0.0 if rng.uniform() < 0.05 else p.gamma * 10.0 ** rng.uniform(-3.0, 1.5)
-    if rng.uniform() < 0.05:
-        delta = 0.0
-    else:
-        delta = rng.choice([-1.0, 1.0]) * TWO_PI * 10.0 ** rng.uniform(0.0, 9.0)
-    return delta, omega, p
 
 
 def test_eta_hand_values():
@@ -291,19 +268,6 @@ def grad_index_per_call(delta, x, p, c):
     return 2.0 * (4.0 * math.pi) / w2 * u * q * (strength / (den * den * root)).real
 
 
-def grad_index_chain_rule(delta, x, p, c):
-    """The gradient by the chain rule through n(chi(omega(x))), step by
-    step: an independent reference that rounds differently."""
-    u = x - c.center
-    inv_w2 = 1.0 / (c.waist * c.waist)
-    om = c.omega_peak * math.exp(-u * u * inv_w2)
-    den = om * om + (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
-    chi = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb) / den
-    n = (1.0 + 4.0 * math.pi * chi) ** 0.5
-    dom_dx = -2.0 * u * inv_w2 * om
-    return ((2.0 * math.pi / n) * (-2.0 * om * chi / den) * dom_dx).real
-
-
 def random_gradient_points():
     rng = np.random.default_rng(11)
     for _ in range(300):
@@ -325,7 +289,7 @@ def test_grad_index_matches_per_call_formula():
 def test_grad_index_matches_chain_rule_formula():
     for delta, x, p, c in random_gradient_points():
         a = grad_index(delta, x, p, c)
-        b = grad_index_chain_rule(delta, x, p, c)
+        b = chain_rule_gradient(delta, p, c)(x)
         assert abs(a - b) <= 1e-13 * abs(b)
 
 

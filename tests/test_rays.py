@@ -2,13 +2,14 @@
 scene symmetries, agreement with RK4 and with an extended-precision
 reference."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from eitprism.medium import ControlField, MediumParams, eta, grad_index, index_gradient
+from eitprism.medium import ControlField, grad_index, index_gradient
 from eitprism.rays import (
     BLOCK_ROWS,
     EXTRAPOLATIONS,
@@ -25,7 +26,8 @@ from eitprism import RunConfig, default_scene, scene_from_config
 from eitprism.cli import _rows, main
 from eitprism.experiment import estimate_parameters
 from reference import IMAGING_DELTAS, IMAGING_HZ, NEAR_DELTAS, STOCK_DELTAS, TWO_PI
-from reference import exit_angles_per_count, longdouble_gradient, stormer_exits_longdouble
+from reference import chain_rule_gradient, exit_angles_per_count, longdouble_gradient
+from reference import scene_exit, stormer_exits_longdouble, vacuum
 
 
 def test_linear_gradient_stub():
@@ -125,14 +127,7 @@ def test_huge_detuning_rejected():
 
 def test_vacuum_cell_straight_ray():
     sc = default_scene()
-    empty = MediumParams(
-        wavelength=sc.medium.wavelength,
-        density=0.0,
-        gamma_r=sc.medium.gamma_r,
-        gamma=sc.medium.gamma,
-        gamma_cb=sc.medium.gamma_cb,
-        cell_length=sc.medium.cell_length,
-    )
+    empty = vacuum(sc.medium)
     traj = trace_ray(TWO_PI * 1e4, 0.8, 2e-3, empty, sc.control, 1000)
     assert exit_angle(traj) == 2e-3
     assert traj.states[-1, 1] == pytest.approx(0.8 + 2e-3 * empty.cell_length, rel=1e-12)
@@ -181,26 +176,34 @@ def test_reversed_gradient_negates_angle():
     assert minus == -plus
 
 
+def _rk4_moves(gradient, x, v, k1v, dz):
+    """One classical RK4 step of x'' = gradient(x) from (x, v), given
+    k1v = gradient(x): the moves of x and of the angle v."""
+    half = 0.5 * dz
+    k2v = gradient(x + half * v)
+    k2x = v + half * k1v
+    k3v = gradient(x + half * k2x)
+    k3x = v + half * k2v
+    k4v = gradient(x + dz * k3x)
+    k4x = v + dz * k3v
+    return (
+        dz * (v + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0,
+        dz * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0,
+    )
+
+
 def _per_step_rk4(gradient, x0, theta0, length, n_steps):
     """Reference RK4, as the trace stepped before the Adams pair: one
     (z, x, angle) row and one flag test per step, the steps summed into
     the absolute x."""
     dz = length / n_steps
-    half = 0.5 * dz
     x, v = x0, theta0
     rows = [(0.0, x, v)]
     violated = abs(v) >= PARAXIAL_LIMIT
     for i in range(n_steps):
-        k1v = gradient(x)
-        k1x = v
-        k2v = gradient(x + half * k1x)
-        k2x = v + half * k1v
-        k3v = gradient(x + half * k2x)
-        k3x = v + half * k2v
-        k4v = gradient(x + dz * k3x)
-        k4x = v + dz * k3v
-        x += dz * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-        v += dz * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        dx, dv = _rk4_moves(gradient, x, v, gradient(x), dz)
+        x += dx
+        v += dv
         if abs(v) >= PARAXIAL_LIMIT:
             violated = True
         rows.append(((i + 1) * dz, x, v))
@@ -221,7 +224,6 @@ def _per_step_adams(gradient, x0, theta0, length, n_steps):
     displacement u from x0; one (z, x, angle) row and one flag test per
     step."""
     dz = length / n_steps
-    half = 0.5 * dz
     angle_weights = [dz * b for b in AB6]
     walk_weights = [dz * dz * c for c in STORMER6]
     u, v = 0.0, theta0
@@ -232,15 +234,9 @@ def _per_step_adams(gradient, x0, theta0, length, n_steps):
         x = x0 + u
         gradients.append(gradient(x))
         if i < 5:
-            k1v = gradients[-1]
-            k2v = gradient(x + half * v)
-            k2x = v + half * k1v
-            k3v = gradient(x + half * k2x)
-            k3x = v + half * k2v
-            k4v = gradient(x + dz * k3x)
-            k4x = v + dz * k3v
-            u += dz * (v + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-            v += dz * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+            du, dv = _rk4_moves(gradient, x, v, gradients[-1], dz)
+            u += du
+            v += dv
         else:
             newest = gradients[:-7:-1]
             u += dz * v + sum(c * f for c, f in zip(walk_weights, newest))
@@ -251,13 +247,13 @@ def _per_step_adams(gradient, x0, theta0, length, n_steps):
     return np.array(rows), violated
 
 
-def _assert_bitwise(traj, reference):
-    rows, violated = reference
-    assert traj.states.shape == rows.shape and traj.states.dtype == np.float64
-    np.testing.assert_array_equal(
-        np.ascontiguousarray(traj.states).view(np.uint64), rows.view(np.uint64)
-    )
-    assert traj.paraxial_violation is violated
+def _assert_bitwise(got, want):
+    """Each item of ``got`` is the one of ``want`` bit for bit: of the same
+    type, shape and dtype, with the same bytes."""
+    for a, b in zip(got, want, strict=True):
+        assert type(a) is type(b)
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("delta", [TWO_PI * 1e3, -TWO_PI * 4e5, TWO_PI * 4e6])
@@ -271,7 +267,7 @@ def test_trace_matches_per_step_reference_bitwise(delta):
         sc.medium.cell_length,
         sc.ray_steps,
     )
-    _assert_bitwise(traj, reference)
+    _assert_bitwise(dataclasses.astuple(traj), reference)
 
 
 @pytest.mark.parametrize("n_steps", range(1, 8))
@@ -289,7 +285,8 @@ def test_few_steps_match_per_step_reference_bitwise(n_steps):
     )
     for gradient, x0, theta0, length in (stub, row):
         traj = integrate_gradient(gradient, x0, theta0, length, n_steps)
-        _assert_bitwise(traj, _per_step_adams(gradient, x0, theta0, length, n_steps))
+        want = _per_step_adams(gradient, x0, theta0, length, n_steps)
+        _assert_bitwise(dataclasses.astuple(traj), want)
 
 
 @pytest.mark.parametrize("n_steps", [1, 5, 6, 7, 100, 10_000])
@@ -317,25 +314,6 @@ def test_few_steps_follow_harmonic_stub():
         assert abs(exit_angle(traj) - exact) <= 3e-3 * (length / n_steps) ** 4
 
 
-def _chain_rule_gradient(delta, p, c):
-    """The gradient closure as the chain rule through n(chi(omega(x))):
-    an independent kernel that rounds differently from the closed form."""
-    rates = (p.gamma - 1j * delta) * (p.gamma_cb - 1j * delta)
-    strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
-    inv_w2 = 1.0 / (c.waist * c.waist)
-
-    def gradient(x):
-        u = x - c.center
-        om = c.omega_peak * math.exp(-u * u * inv_w2)
-        den = om * om + rates
-        chi = strength / den
-        n = (1.0 + 4.0 * math.pi * chi) ** 0.5
-        dom_dx = -2.0 * u * inv_w2 * om
-        return ((2.0 * math.pi / n) * (-2.0 * om * chi / den) * dom_dx).real
-
-    return gradient
-
-
 @pytest.mark.parametrize(
     "detuning_hz", [0.0, 1e4, -1e4, 1e5, -1e5, 4e5, -4e5, 4e6, -4e6, 2e7, -2e7]
 )
@@ -344,18 +322,18 @@ def test_trace_matches_chain_rule_kernel(detuning_hz):
     # printed (9 significant digit) angle and never the paraxial flag.
     sc = default_scene()
     delta = TWO_PI * detuning_hz
-    traj = trace_ray(delta, sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps)
+    a, flag = scene_exit(delta)
     ref = integrate_gradient(
-        _chain_rule_gradient(delta, sc.medium, sc.control),
+        chain_rule_gradient(delta, sc.medium, sc.control),
         sc.probe.offset,
         0.0,
         sc.medium.cell_length,
         sc.ray_steps,
     )
-    a, b = exit_angle(traj), exit_angle(ref)
+    b = exit_angle(ref)
     assert abs(a - b) <= 1e-13 * abs(b)
     assert f"{a:.9g}" == f"{b:.9g}"
-    assert traj.paraxial_violation is ref.paraxial_violation
+    assert flag is ref.paraxial_violation
 
 
 @pytest.mark.parametrize(
@@ -370,7 +348,8 @@ def test_trace_matches_chain_rule_kernel(detuning_hz):
 )
 def test_stub_matches_per_step_reference_bitwise(gradient, x0, theta0, length):
     traj = integrate_gradient(gradient, x0, theta0, length, 100)
-    _assert_bitwise(traj, _per_step_adams(gradient, x0, theta0, length, 100))
+    want = _per_step_adams(gradient, x0, theta0, length, 100)
+    _assert_bitwise(dataclasses.astuple(traj), want)
     assert traj.paraxial_violation
 
 
@@ -404,8 +383,7 @@ def test_numpy_scalar_detuning_is_a_float():
     assert type(index_gradient(np.float64(delta), sc.medium, sc.control)(0.1)) is float
     args = (sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps)
     want, got = trace_ray(delta, *args), trace_ray(np.float64(delta), *args)
-    np.testing.assert_array_equal(got.states.view(np.uint64), want.states.view(np.uint64))
-    assert got.paraxial_violation is want.paraxial_violation
+    _assert_bitwise(dataclasses.astuple(got), dataclasses.astuple(want))
 
 
 def test_paraxial_flag():
@@ -459,13 +437,10 @@ def _assert_matches_scalar_traces(deltas):
     assert thetas.shape == flags.shape == certified.shape == (len(deltas),)
     assert thetas.dtype == np.float64 and certified.all()
     for delta, theta, flag in zip(deltas, thetas.tolist(), flags.tolist()):
-        traj = trace_ray(
-            delta, sc.probe.offset, 0.0, sc.medium, sc.control, sc.ray_steps
-        )
-        ref = exit_angle(traj)
+        ref, ref_flag = scene_exit(delta)
         assert abs(theta - ref) <= 1e-11 * abs(ref)
         assert f"{theta:.9g}" == f"{ref:.9g}"
-        assert flag is traj.paraxial_violation
+        assert flag is ref_flag
     return thetas
 
 
@@ -490,10 +465,7 @@ def test_batch_rows_independent_of_batch():
     args = (sc.probe.offset, sc.medium, sc.control)
     whole = ray_exits(STOCK_DELTAS, *args)
     parts = [ray_exits(part, *args) for part in (STOCK_DELTAS[:37], STOCK_DELTAS[37:])]
-    thetas, flags, certified = (np.concatenate(column) for column in zip(*parts))
-    np.testing.assert_array_equal(thetas.view(np.uint64), whole[0].view(np.uint64))
-    np.testing.assert_array_equal(flags, whole[1])
-    np.testing.assert_array_equal(certified, whole[2])
+    _assert_bitwise([np.concatenate(column) for column in zip(*parts)], whole)
 
 
 # Stock-scene detunings whose rays graze a near-double zero of dN, the rise
@@ -546,7 +518,7 @@ def test_batch_blocks_change_no_bit():
         np.full(deltas.shape, sc.probe.offset),
         sc.medium.cell_length,
     )
-    _assert_bitwise_equal(
+    _assert_bitwise(
         ray_exits(deltas, sc.probe.offset, sc.medium, sc.control), whole
     )
 
@@ -669,12 +641,6 @@ def test_batch_validation():
         exit_angles(lambda x: x, 0.0, 1.0)
 
 
-def _assert_bitwise_equal(got, want):
-    np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
-    np.testing.assert_array_equal(got[1], want[1])
-    np.testing.assert_array_equal(got[2], want[2])
-
-
 @pytest.mark.parametrize(
     "deltas",
     [STOCK_DELTAS, GRAZING_DELTAS, NEAR_DELTAS],
@@ -687,7 +653,7 @@ def test_lockstep_counts_match_per_count_reference(deltas):
     sc = default_scene()
     gradient = index_gradient(np.array(deltas), sc.medium, sc.control)
     args = (np.full(len(deltas), sc.probe.offset), sc.medium.cell_length)
-    _assert_bitwise_equal(
+    _assert_bitwise(
         exit_angles(gradient, *args), exit_angles_per_count(gradient, *args)
     )
 
@@ -704,7 +670,7 @@ def test_lockstep_counts_match_per_count_reference_on_stubs():
     ]
     for case in cases:
         got = exit_angles(*case)
-        _assert_bitwise_equal(got, exit_angles_per_count(*case))
+        _assert_bitwise(got, exit_angles_per_count(*case))
     assert got[2].tolist() == [True, False, True, False]
 
 
@@ -786,10 +752,14 @@ def test_trace_matches_extended_precision_reference():
     flags = []
     for (delta, sc), exact, top in zip(rows, want, peak):
         args = (delta, sc.probe.offset, 0.0, sc.medium, sc.control)
-        traj = trace_ray(*args, sc.ray_steps)
-        assert abs(exit_angle(traj) - exact) <= 1e-13 * top
-        assert traj.paraxial_violation is bool(top >= PARAXIAL_LIMIT)
-        flags.append(traj.paraxial_violation)
+        if sc is stock:
+            angle, flag = scene_exit(delta)
+        else:
+            traj = trace_ray(*args, sc.ray_steps)
+            angle, flag = exit_angle(traj), traj.paraxial_violation
+        assert abs(angle - exact) <= 1e-13 * top
+        assert flag is bool(top >= PARAXIAL_LIMIT)
+        flags.append(flag)
         # At the fewest steps allowed the trace stays finite, though there
         # it is no more accurate than RK4.
         assert np.isfinite(trace_ray(*args, 100).states).all()

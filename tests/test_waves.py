@@ -6,13 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eitprism.medium import (
-    ControlField,
-    MediumParams,
-    complex_chi,
-    rabi_at,
-    refractive_index,
-)
+from eitprism.medium import ControlField, complex_chi, rabi_at, refractive_index
 from eitprism.waves import (
     GUARD_FRACTION,
     OPAQUE_LEVEL,
@@ -36,7 +30,7 @@ from eitprism.waves import (
 )
 from eitprism import default_scene, experiment, waves
 import reference
-from reference import SCENE_DELTAS, TWO_PI, lone_crossing
+from reference import SCENE_DELTAS, TWO_PI, lone_crossing, vacuum
 LAM = 7.95e-5  # cm
 
 
@@ -145,14 +139,7 @@ def test_guard_band_trips_on_overflow():
 
 def test_medium_vacuum_matches_free():
     sc = default_scene()
-    empty = MediumParams(
-        wavelength=sc.medium.wavelength,
-        density=0.0,
-        gamma_r=sc.medium.gamma_r,
-        gamma=sc.medium.gamma,
-        gamma_cb=sc.medium.gamma_cb,
-        cell_length=sc.medium.cell_length,
-    )
+    empty = vacuum(sc.medium)
     g = small_grid()
     f = make_gaussian_probe(g, sc.medium.wavelength, 0.06, 0.0)
     through = propagate_medium(f, TWO_PI * 1e4, empty, sc.control, n_slices=50)
