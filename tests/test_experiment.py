@@ -262,13 +262,13 @@ def test_row_runs_on_probe_window(monkeypatch):
     # A row propagates on a power-of-two window of the scene grid that
     # spans 12 probe waists, at the scene's dx and on its samples, centred
     # on the probe: 1024 of the stock 16384 points.  A stack of rows, such
-    # as the dispersion pair, crosses on the same window.
+    # as the dispersion stencil's four, crosses on the same window.
     crossings = record_crossings(monkeypatch)
     sc = default_scene()
     run_point(sc, TWO_PI * 1e5)
     angular_dispersion(sc)
-    (one, g), (two, pair_grid) = crossings
-    assert (one, two) == (1, 2) and pair_grid == g
+    (one, g), (four, stencil_grid) = crossings
+    assert (one, four) == (1, 4) and stencil_grid == g
     assert g.n_points == 1024 and g.dx == sc.grid.dx
     start = (g.x0 - sc.grid.x0) / sc.grid.dx
     assert start == pytest.approx(round(start), abs=1e-6)
@@ -707,8 +707,35 @@ def test_angular_dispersion_default_scene():
     sc = default_scene()
     disp, noise = angular_dispersion(sc)
     assert noise is None
-    assert disp == pytest.approx(-7843.282282259526, rel=1e-3)
+    assert disp == pytest.approx(-7843.282296212933, rel=1e-3)
     assert 1e2 <= abs(disp) <= 1e4
+    # Reference: central differences of theta_wave over +-300, +-600 and
+    # +-1200 Hz, none of them a row of the stencil, extrapolated twice in
+    # h^2 (O(h^6)).  References over other steps spread by about 2e-10 of
+    # the slope (theta_wave's round-off) and the stencil is 1.2e-11 off
+    # this one; a central difference over +-100 Hz is 1.9e-9 off and fails.
+    steps = [TWO_PI * 300.0 * k for k in (1, 2, 4)]
+    rows = experiment._rows(sc, [s * h for h in steps for s in (1, -1)], [NO_RAY] * 6)
+    thetas = [r.theta_wave for r in rows]
+    d1, d2, d4 = [(a - b) / (2.0 * h) for a, b, h in zip(thetas[::2], thetas[1::2], steps)]
+    r1, r2 = (4.0 * d1 - d2) / 3.0, (4.0 * d2 - d4) / 3.0
+    lam_per_rad = sc.medium.wavelength**2 / (TWO_PI * C_LIGHT) * 1e7
+    reference = -(16.0 * r1 - r2) / 15.0 / lam_per_rad
+    assert abs(disp / reference - 1.0) <= 5e-10
+
+
+def test_angular_dispersion_flags_a_nan_slope(monkeypatch):
+    # Only the stencil's rows at +-2h lack a pointing angle, as a
+    # guard_band or aliased row would: the slope is NaN, and flagged.
+    rows = experiment._rows
+
+    def outer_nan(scene, deltas, rays):
+        out = list(rows(scene, deltas, rays))
+        return out[:2] + [dataclasses.replace(r, theta_wave=math.nan) for r in out[2:]]
+
+    monkeypatch.setattr(experiment, "_rows", outer_nan)
+    disp, noise = angular_dispersion(default_scene())
+    assert math.isnan(disp) and noise == "dispersion_noise"
 
 
 def test_angular_dispersion_vacuum_is_noise():
@@ -798,18 +825,26 @@ def confirmed_bracket(verdicts, crossing):
     return None
 
 
-def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
-    needed = TWO_PI * 30.4e3
-    probed = {}
+def fake_spots(monkeypatch, ratio):
+    """Stand ``ratio(s)`` in for each Rayleigh test's gap / width at
+    separation s.  The returned dict gets each tested separation's verdict
+    (ratio at least 1); a separation tested twice, or a 101st test, fails."""
+    verdicts = {}
 
-    def resolved_from_needed(scene, separations):
-        ratios = [s / needed for s in separations]
-        for s, ratio in zip(separations, ratios):
-            assert s not in probed  # no separation is crossed twice
-            probed[s] = ratio >= 1.0
+    def spots(scene, separations):
+        ratios = [ratio(s) for s in separations]
+        for s, r in zip(separations, ratios):
+            assert s not in verdicts and len(verdicts) < 100
+            verdicts[s] = r >= 1.0
         return ratios
 
-    monkeypatch.setattr(experiment, "_spots_resolved", resolved_from_needed)
+    monkeypatch.setattr(experiment, "_spots_resolved", spots)
+    return verdicts
+
+
+def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
+    needed = TWO_PI * 30.4e3
+    probed = fake_spots(monkeypatch, lambda s: s / needed)
     sc = default_scene()
     omega = TWO_PI * C_LIGHT / sc.medium.wavelength
 
@@ -850,16 +885,7 @@ def test_spectral_resolution_non_monotone_verdict(monkeypatch, initial_hz):
     scale = TWO_PI * 1e3 / initial_hz
     a, b, c = scale * 5e3, scale * 6e3, scale * 40e3
     cap = scale * 1e5
-    verdicts = {}
-
-    def spots(scene, separations):
-        ratios = [s / a if s < b else s / c for s in separations]
-        for s, ratio in zip(separations, ratios):
-            assert s not in verdicts and len(verdicts) < 100
-            verdicts[s] = ratio >= 1.0
-        return ratios
-
-    monkeypatch.setattr(experiment, "_spots_resolved", spots)
+    verdicts = fake_spots(monkeypatch, lambda s: s / a if s < b else s / c)
     sc = default_scene()
     omega = TWO_PI * C_LIGHT / sc.medium.wavelength
     r, cause = spectral_resolution(sc, max_separation=cap)
@@ -874,16 +900,7 @@ def test_spectral_resolution_safeguards_a_poor_fixed_point(monkeypatch, power):
     # oscillates and diverges for power 3 and creeps for power 0.05, so the
     # search must bisect and double its way to the crossing instead.
     needed = TWO_PI * 30e3
-    verdicts = {}
-
-    def spots(scene, separations):
-        ratios = [(s / needed) ** power for s in separations]
-        for s, ratio in zip(separations, ratios):
-            assert s not in verdicts and len(verdicts) < 100
-            verdicts[s] = ratio >= 1.0
-        return ratios
-
-    monkeypatch.setattr(experiment, "_spots_resolved", spots)
+    verdicts = fake_spots(monkeypatch, lambda s: (s / needed) ** power)
     sc = default_scene()
     omega = TWO_PI * C_LIGHT / sc.medium.wavelength
     r, cause = spectral_resolution(sc, STOCK_SPAN)
