@@ -34,6 +34,7 @@ one launch (launch_probe) and one crossing (_cross_cell).
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
@@ -143,6 +144,8 @@ class Scene:
         if not 0.0 < self.detector_distance < math.inf:
             raise ValueError("detector_distance must be positive and finite")
         check_n_slices(self.n_slices)
+        if not isinstance(self.ray_steps, numbers.Integral):
+            raise ValueError("ray_steps must be an integer")
         if self.ray_steps < 100:
             raise ValueError("ray_steps must be at least 100")
         if abs(self.probe.offset - self.control.center) > 2.0 * self.control.waist:

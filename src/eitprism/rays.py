@@ -24,6 +24,7 @@ falls back to trace_ray only for a row it cannot certify.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -127,12 +128,15 @@ def integrate_gradient(
     trajectory including the launch state; z is strictly increasing.  The
     paraxial flag is set when any |angle| reaches PARAXIAL_LIMIT.  Rejects
     a ``length`` that is not positive and finite, a non-finite launch and
-    fewer than one step, before any step is taken.
+    a step count that is not an integer or is below one, before any step
+    is taken.
     """
     if not 0.0 < length < math.inf:
         raise ValueError("length must be positive and finite")
     if not (math.isfinite(x0) and math.isfinite(theta0)):
         raise ValueError("x0 and theta0 must be finite")
+    if not isinstance(n_steps, numbers.Integral):
+        raise ValueError("n_steps must be an integer")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     steps = _adams_loop(gradient, x0, theta0, length / n_steps, n_steps)

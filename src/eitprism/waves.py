@@ -58,6 +58,7 @@ the spot at any distance from one FFT pair.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
@@ -151,8 +152,8 @@ class Grid1D:
 
 def centered_grid(n_points: int, span: float) -> Grid1D:
     """Grid of given total span (cm), symmetric about x = 0."""
-    if span <= 0.0:
-        raise ValueError("span must be positive")
+    if not 0.0 < span < math.inf:
+        raise ValueError("span must be positive and finite")
     dx = span / n_points
     return Grid1D(n_points=n_points, dx=dx, x0=-0.5 * (n_points - 1) * dx)
 
@@ -279,8 +280,11 @@ def propagate_medium(
 
 
 def check_n_slices(n_slices: int) -> None:
-    """Reject a slice count the crossing cannot run: the 4B steps take
-    slices in pairs, and fewer than 50 is refused."""
+    """Reject a slice count the crossing cannot run: one that is not an
+    integer, and, since the 4B steps take slices in pairs, an odd one or
+    fewer than 50."""
+    if not isinstance(n_slices, numbers.Integral):
+        raise ValueError("n_slices must be an integer")
     if n_slices < 50 or n_slices % 2:
         raise ValueError("n_slices must be even and at least 50")
 

@@ -76,6 +76,7 @@ def test_criterion_2_deflection_estimate():
     t0 = time.perf_counter()
     medium, control, delta, offset = estimate_parameters()
     theta = deflection_estimate(delta, offset, medium, control)
+    assert theta == pytest.approx(-0.0996015, rel=1e-5)
     assert 0.03 <= abs(theta) <= 0.3
     dt = time.perf_counter() - t0
     assert dt < 1.0
@@ -89,6 +90,7 @@ def test_criterion_3_diffraction_doubling():
     probe = make_gaussian_probe(sc.grid, sc.medium.wavelength, sc.probe.waist, 0.0)
     far = propagate_free(probe, sc.detector_distance)
     ratio = beam_width(far) / beam_width(probe)
+    assert ratio == pytest.approx(1.9265243, rel=1e-6)
     assert 1.6 <= ratio <= 2.4
     rayleigh = math.pi * sc.probe.waist**2 / sc.medium.wavelength
     analytic = sc.probe.waist * math.sqrt(1.0 + (sc.detector_distance / rayleigh) ** 2)
@@ -148,7 +150,9 @@ def test_criterion_4_deflection_curve_shape():
     assert paired >= 2
     assert rows[0].theta_ray * rows[-1].theta_ray < 0.0
 
-    # outer zeros of the deflection curve against the local level splitting
+    # the local-gradient deflection changes sign at the transparency
+    # centre and at two detunings per side bracketing the local level
+    # splitting
     ref = math.sqrt(rabi_at(sc.probe.offset, sc.control) ** 2 - sc.medium.gamma_cb**2)
 
     def theta(delta):
@@ -156,9 +160,9 @@ def test_criterion_4_deflection_curve_shape():
 
     deltas = [r.detuning for r in rows]
     est = [theta(d) for d in deltas]
-    ratios = []
+    zeros = []
     for i in range(100):
-        if est[i] * est[i + 1] < 0.0 and abs(deltas[i]) > TWO_PI * 1e6:
+        if est[i] * est[i + 1] < 0.0:
             a, b, fa = deltas[i], deltas[i + 1], est[i]
             for _ in range(200):
                 m = 0.5 * (a + b)
@@ -167,9 +171,15 @@ def test_criterion_4_deflection_curve_shape():
                     a, fa = m, fm
                 else:
                     b = m
-            ratios.append(abs(0.5 * (a + b)) / ref)
-    assert len(ratios) == 4
+            zeros.append(0.5 * (a + b))
+    assert len(zeros) == 5  # 0, +-delta_z1, +-delta_z2
+    assert abs(zeros[2]) < TWO_PI * 1e3
+    ratios = [abs(z) / ref for z in zeros[:2] + zeros[3:]]
     assert all(0.8 <= r <= 1.2 for r in ratios)
+    # the positive zeros pin the curve; their mirror twins sit within 2 %
+    # (the quadratic-in-chi part of n breaks exact oddness)
+    assert ratios[2:] == pytest.approx([0.887450, 1.136413], rel=1e-4)
+    assert ratios[1::-1] == pytest.approx([0.887450, 1.136413], rel=0.02)
     # the traced sweep itself changes sign inside the band on both sides
     for sign in (-1.0, 1.0):
         assert any(

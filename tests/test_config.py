@@ -1,12 +1,11 @@
-"""Config file grammar, round-trips, and scene construction."""
+"""Config file grammar, round-trips, and scene construction.  Refused
+configs are cases of test_refusals."""
 
 import dataclasses
-import math
 
 import pytest
 
 from eitprism.config import (
-    ConfigError,
     RunConfig,
     parse_config,
     scene_from_config,
@@ -34,32 +33,6 @@ def test_parse_inline_whitespace_and_ints():
     assert cfg.grid_points == 8192
     assert isinstance(cfg.grid_points, int)
     assert cfg.sweep_points == 11
-
-
-def test_parse_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="line 2"):
-        parse_config("cell_length_mm: 50\nno_such_knob: 1\n")
-
-
-def test_parse_rejects_duplicate_key():
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_config("cell_length_mm: 50\ncell_length_mm: 60\n")
-
-
-def test_parse_rejects_junk_line():
-    with pytest.raises(ConfigError, match="line 1"):
-        parse_config("this is not a key value pair\n")
-
-
-def test_parse_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        parse_config("cell_length_mm: banana\n")
-    with pytest.raises(ConfigError):
-        parse_config("grid_points: 12.5\n")  # integer field
-    with pytest.raises(ConfigError):
-        parse_config("density_cm3: nan\n")
-    with pytest.raises(ConfigError):
-        parse_config("gamma_hz: inf\n")
 
 
 def test_serialize_parse_round_trip():
@@ -102,35 +75,8 @@ def test_unit_conversions():
     assert sc.probe.offset == pytest.approx(-1.2, rel=1e-12)
 
 
-def test_bad_physics_is_config_error():
-    with pytest.raises(ConfigError):
-        scene_from_config(parse_config("gamma_hz: -5\n"))
-    with pytest.raises(ConfigError):
-        scene_from_config(parse_config("grid_points: 100\n"))
-    with pytest.raises(ConfigError):
-        scene_from_config(parse_config("probe_offset_mm: 500\n"))
-    for n_slices in (48, 65):
-        with pytest.raises(ConfigError, match="n_slices must be even and at least 50"):
-            scene_from_config(parse_config(f"n_slices: {n_slices}\n"))
-
-
 def test_sweep_bounds():
     lo, hi, n = sweep_bounds(RunConfig())
     assert lo == TWO_PI * -2e7
     assert hi == TWO_PI * 2e7
     assert n == 101
-    with pytest.raises(ConfigError):
-        sweep_bounds(parse_config("sweep_min_hz: 10\nsweep_max_hz: -10\n"))
-    with pytest.raises(ConfigError):
-        sweep_bounds(parse_config("sweep_points: 1\n"))
-    # The CLI folds its range flags in after parsing, so the finiteness
-    # that parse_config enforces is checked again here.
-    for bounds in ({"sweep_max_hz": math.inf}, {"sweep_min_hz": -math.inf},
-                   {"sweep_max_hz": math.nan}, {"sweep_min_hz": math.nan}):
-        with pytest.raises(ConfigError, match="finite"):
-            sweep_bounds(dataclasses.replace(RunConfig(), **bounds))
-    # Finite in Hz, but the bounds or their span overflow in rad/s.
-    for lo, hi in ((-1e308, 1e308), (1e307, 3e307), (-2e307, 2e307)):
-        cfg = dataclasses.replace(RunConfig(), sweep_min_hz=lo, sweep_max_hz=hi)
-        with pytest.raises(ConfigError, match="overflows"):
-            sweep_bounds(cfg)

@@ -1,4 +1,5 @@
-"""Experiment harness: scenes, single points, sweeps, derived figures."""
+"""Experiment harness: scenes, single points, sweeps, derived figures.
+Refused scenes and calls are cases of test_refusals."""
 
 import dataclasses
 import math
@@ -10,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eitprism.medium import ControlField, rabi_at
 from eitprism.waves import (
     Grid1D,
     GuardBandError,
@@ -84,63 +84,6 @@ def test_estimate_parameters_values():
     assert control.omega_peak == pytest.approx(TWO_PI * 1e6, rel=1e-12)
     assert delta == pytest.approx(TWO_PI * 1e3, rel=1e-12)
     assert offset == pytest.approx(control.waist / math.sqrt(2.0), rel=1e-12)
-
-
-def test_scene_validation():
-    sc = default_scene()
-    with pytest.raises(ValueError):
-        dataclasses.replace(sc, detector_distance=0.0)
-    for n_slices in (10, 48, 65):  # below 50, or odd
-        with pytest.raises(ValueError, match="n_slices must be even and at least 50"):
-            dataclasses.replace(sc, n_slices=n_slices)
-    with pytest.raises(ValueError):
-        dataclasses.replace(sc, ray_steps=10)
-    with pytest.raises(ValueError):
-        dataclasses.replace(sc, probe=ProbeSpec(waist=0.06, offset=3.0 * sc.control.waist))
-    for waist, offset in ((0.0, 0.0), (math.inf, 0.0), (math.nan, 0.0), (0.06, math.nan)):
-        with pytest.raises(ValueError):
-            ProbeSpec(waist=waist, offset=offset)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda v: dataclasses.replace(default_scene(), detector_distance=v),
-        lambda v: Grid1D(1024, v, 0.0),
-        lambda v: Grid1D(1024, 1e-3, v),
-        lambda v: centered_grid(1024, v),
-        lambda v: dataclasses.replace(default_scene().medium, wavelength=v),
-        lambda v: dataclasses.replace(default_scene().medium, density=v),
-        lambda v: dataclasses.replace(default_scene().medium, gamma=v),
-        lambda v: dataclasses.replace(default_scene().medium, cell_length=v),
-        lambda v: ControlField(v, 3.6, 0.0),
-        lambda v: ControlField(TWO_PI * 1e7, v, 0.0),
-        lambda v: ControlField(TWO_PI * 1e7, 3.6, v),
-        lambda v: propagate_free(experiment.launch_probe(default_scene()), v),
-        lambda v: far_field_moments(experiment.launch_probe(default_scene()), v),
-    ],
-    ids=[
-        "detector_distance",
-        "grid_dx",
-        "grid_x0",
-        "grid_span",
-        "wavelength",
-        "density",
-        "gamma",
-        "cell_length",
-        "omega_peak",
-        "control_waist",
-        "control_center",
-        "free_distance",
-        "moments_distance",
-    ],
-)
-def test_non_finite_scene_parameters_rejected(build, bad):
-    # A NaN or infinite parameter is an input error, not a NaN row, an
-    # infinite spot or a guard trip that asks for a wider grid.
-    with pytest.raises(ValueError):
-        build(bad)
 
 
 def test_scene_with_detector():
@@ -276,13 +219,6 @@ def test_row_runs_on_probe_window(monkeypatch):
     # Never wider than the scene grid, and clamped inside it.
     small = dataclasses.replace(sc, grid=centered_grid(512, 12.8))
     assert experiment._probe_window(small) == small.grid
-    # The probe must still lie in the central half of the scene grid.
-    g = sc.grid
-    off = dataclasses.replace(
-        sc, grid=Grid1D(g.n_points, g.dx, sc.probe.offset - 0.2 * g.span)
-    )
-    with pytest.raises(ValueError, match="central half"):
-        run_point(off, 0.0)
 
 
 def test_row_crosses_whole_grid_after_window_trip(monkeypatch):
@@ -468,22 +404,6 @@ def test_split_step_is_accurate_at_the_stock_slices():
     assert np.all(error <= [1e-10, 1e-10, 1e-10, 2e-9]), error
 
 
-def test_probe_launch_failing_guard_raises():
-    # A grid too narrow for the launch probe (512 points, 8.2 waists) fails
-    # every row alike, so the sweep stops at its first row instead of
-    # returning a table of guard_band rows.
-    sc = default_scene()
-    n = 512
-    dx = 8.2 * sc.probe.waist / n
-    narrow = dataclasses.replace(
-        sc, grid=Grid1D(n, dx, sc.probe.offset - 0.5 * (n - 1) * dx), ray_steps=100
-    )
-    with pytest.raises(GuardBandError, match="z=0 cm"):
-        detuning_sweep(narrow, -TWO_PI * 1e5, TWO_PI * 1e5, 3)
-    with pytest.raises(GuardBandError):
-        angular_dispersion(narrow)
-
-
 @pytest.mark.parametrize(
     "cell_length, flags, t_low, t_high",
     [
@@ -556,7 +476,7 @@ def test_non_finite_detunings_rejected(monkeypatch, bad):
         lambda: experiment.profile(sc, [TWO_PI * 5e6, bad]),
     ]
     for call in calls:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite"):
             call()
 
 
@@ -642,27 +562,12 @@ def test_paraxial_rows_carry_the_flag():
     ]
 
 
-def test_sweep_validation():
-    sc = default_scene()
-    with pytest.raises(ValueError):
-        detuning_sweep(sc, 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        detuning_sweep(sc, 1.0, -1.0, 5)
-    with pytest.raises(ValueError):
-        detuning_sweep(sc, 0.0, 1.0, 5, threads=0)
-
-
 def test_sweep_detunings():
     # Python floats on the bounds' grid, whatever type the bounds are.
     assert sweep_detunings(-TWO_PI * 4e5, TWO_PI * 4e5, 41) == NEAR_DELTAS
     got = sweep_detunings(np.float64(-TWO_PI * 2e7), np.float64(TWO_PI * 2e7), 101)
     assert got == STOCK_DELTAS
     assert {type(d) for d in got} == {float}
-    # Finite bounds whose span overflows: the steps would be inf and NaN.
-    with pytest.raises(ValueError, match="span must be finite"):
-        sweep_detunings(-1.2e308, 1.2e308, 3)
-    with pytest.raises(ValueError, match="span must be finite"):
-        detuning_sweep(default_scene(), -1.2e308, 1.2e308, 3)
 
 
 def test_sweep_centre_row_is_the_midpoint():
@@ -871,10 +776,6 @@ def test_spectral_resolution_search_never_probes_past_cap(monkeypatch):
         assert abs(r / reference_resolution(sc, cap, 1e-9) - 1.0) <= 2e-9
         assert max(probed) == cap  # the reference doubles up to the cap
 
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            spectral_resolution(sc, max_separation=bad)
-
 
 @pytest.mark.parametrize("initial_hz", [1e3, 8e3, 60e3])
 def test_spectral_resolution_non_monotone_verdict(monkeypatch, initial_hz):
@@ -907,47 +808,3 @@ def test_spectral_resolution_safeguards_a_poor_fixed_point(monkeypatch, power):
     assert cause is None
     assert omega / r == pytest.approx(needed, rel=2 * experiment.RESOLUTION_TOL)
     assert confirmed_bracket(verdicts, omega / r)
-
-
-def test_outer_zero_structure():
-    # The local-gradient deflection changes sign at the transparency
-    # center and at two detunings per side bracketing the local
-    # Autler-Townes splitting sqrt(rabi_at(offset)^2 - gamma_cb^2).
-    from eitprism.rays import deflection_estimate
-
-    sc = default_scene()
-    ref = math.sqrt(rabi_at(sc.probe.offset, sc.control) ** 2 - sc.medium.gamma_cb**2)
-
-    def theta(delta):
-        return deflection_estimate(delta, sc.probe.offset, sc.medium, sc.control)
-
-    deltas = [TWO_PI * (-2e7 + i * 4e5) for i in range(101)]
-    vals = [theta(d) for d in deltas]
-    brackets = [
-        (deltas[i], deltas[i + 1])
-        for i in range(100)
-        if vals[i] * vals[i + 1] < 0.0
-    ]
-    assert len(brackets) == 5  # 0, +-delta_z1, +-delta_z2
-
-    def bisect(a, b):
-        fa = theta(a)
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = theta(m)
-            if (fa < 0.0) == (fm < 0.0):
-                a, fa = m, fm
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    zeros = sorted(bisect(a, b) for a, b in brackets)
-    assert abs(zeros[2]) < TWO_PI * 1e3  # central crossing
-    # Positive-side zeros pin the curve; their mirror twins sit within a
-    # percent (the quadratic-in-chi part of n breaks exact oddness).
-    assert zeros[3] / ref == pytest.approx(0.887450, rel=1e-4)
-    assert zeros[4] / ref == pytest.approx(1.136413, rel=1e-4)
-    assert -zeros[1] / ref == pytest.approx(0.887450, rel=0.02)
-    assert -zeros[0] / ref == pytest.approx(1.136413, rel=0.02)
-    for z in (zeros[0], zeros[1], zeros[3], zeros[4]):
-        assert 0.8 <= abs(z) / ref <= 1.2

@@ -1,4 +1,6 @@
-"""Susceptibility, refractive index and transverse gradient."""
+"""Susceptibility, refractive index and transverse gradient.  Refused inputs
+are cases of test_refusals; chi's randomized identity and symmetries are
+acceptance criterion 1."""
 
 import cmath
 import math
@@ -89,42 +91,15 @@ def test_complex_chi_two_level_limit():
     assert val.imag == pytest.approx(eta(p) * p.gamma_r / p.gamma, rel=1e-12)
 
 
-def test_complex_chi_rejects_overflowing_denominator():
+def test_complex_chi_finite_below_overflow():
     # From |delta| near 1.3e154 rad/s the denominator's rate product
-    # overflows, and chi would come out 0 (or NaN) with a RuntimeWarning
-    # for an array.  Such a detuning is refused, alone or in an array; at
+    # overflows, and such a detuning is refused (see test_refusals); at
     # 1e153 Hz chi is finite, and falls off as 1/delta.
     p, omega = ESTIMATE, TWO_PI * 1e6
-    for delta in (TWO_PI * 1e160, np.array([0.0, -TWO_PI * 1e160]), TWO_PI * 1e300):
-        with pytest.raises(ValueError, match="susceptibility overflows"):
-            complex_chi(delta, omega, p)
     big = TWO_PI * 1e153
     chi = complex_chi(np.array([-big, big]), omega, p)
     tail = eta(p) * p.gamma_r / big
     assert chi.real.tolist() == pytest.approx([tail, -tail], rel=1e-12)
-
-
-def test_real_part_identity_randomized():
-    # Deviation is measured against the susceptibility magnitude: both
-    # expressions cancel exactly at the curve zeros, where a pointwise
-    # relative comparison would divide by zero.
-    rng = np.random.default_rng(20260814)
-    for _ in range(2000):
-        delta, omega, p = random_point(rng)
-        a = re_chi(delta, omega, p)
-        chi = complex_chi(delta, omega, p)
-        assert abs(a - chi.real) <= 1e-12 * max(abs(a), abs(chi))
-
-
-def test_symmetries_and_passivity_randomized():
-    rng = np.random.default_rng(7)
-    for _ in range(2000):
-        delta, omega, p = random_point(rng)
-        assert re_chi(-delta, omega, p) == -re_chi(delta, omega, p)
-        plus = complex_chi(delta, omega, p)
-        minus = complex_chi(-delta, omega, p)
-        assert minus.imag == pytest.approx(plus.imag, rel=1e-12)
-        assert plus.imag > 0.0
 
 
 def test_re_chi_outer_zero_by_bisection():
@@ -195,13 +170,6 @@ def test_refractive_index_weak_chi_expansion():
     n = refractive_index(chi)
     approx = 1.0 + 2.0 * math.pi * chi
     assert abs(n - approx) < 4.0 * math.pi**2 * abs(chi) ** 2
-
-
-def test_refractive_index_rejects_nonphysical():
-    with pytest.raises(ValueError):
-        refractive_index(-0.1)
-    with pytest.raises(ValueError):
-        refractive_index(np.array([1e-4, -0.1 + 0.0j]))
 
 
 def test_rabi_profile():
@@ -351,20 +319,3 @@ def test_index_slope_is_the_written_out_closed_form_bitwise():
         strength = eta(p) * p.gamma_r * (delta + 1j * p.gamma_cb)
         want = (8.0 * math.pi / (c.waist * c.waist)) * u * q * (strength / den / (den * n))
         assert slope.tobytes() == want.tobytes()
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        make_params(wavelength=0.0)
-    with pytest.raises(ValueError):
-        make_params(density=-1.0)
-    with pytest.raises(ValueError):
-        make_params(gamma=0.0)
-    with pytest.raises(ValueError):
-        make_params(gamma_cb=-1.0)
-    with pytest.raises(ValueError):
-        make_params(cell_length=0.0)
-    with pytest.raises(ValueError):
-        ControlField(omega_peak=-1.0, waist=1.0)
-    with pytest.raises(ValueError):
-        ControlField(omega_peak=1.0, waist=0.0)

@@ -1,6 +1,6 @@
 """Ray integrator and batched exit angles: closed-form stubs, convergence,
 scene symmetries, agreement with RK4 and with an extended-precision
-reference."""
+reference.  Refused inputs are cases of test_refusals."""
 
 import dataclasses
 import math
@@ -61,64 +61,13 @@ def test_trajectory_shape():
     assert max(steps) - min(steps) < 1e-12
 
 
-def test_integrator_validation():
-    with pytest.raises(ValueError):
-        integrate_gradient(lambda x: 0.0, 0.0, 0.0, -1.0, 100)
-    with pytest.raises(ValueError):
-        integrate_gradient(lambda x: 0.0, 0.0, 0.0, 1.0, 0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            integrate_gradient(lambda x: 0.0, 0.0, 0.0, bad, 100)
-    sc = default_scene()
-    with pytest.raises(ValueError):
-        trace_ray(0.0, sc.probe.offset, 0.0, sc.medium, sc.control, n_steps=50)
-    # A non-finite launch would integrate to a NaN trajectory without a flag.
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            trace_ray(0.0, bad, 0.0, sc.medium, sc.control, n_steps=100)
-        with pytest.raises(ValueError):
-            trace_ray(0.0, sc.probe.offset, bad, sc.medium, sc.control, n_steps=100)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_trace_ray_rejects_non_finite_detuning(bad):
-    sc = default_scene()
-    x = sc.probe.offset
-    with pytest.raises(ValueError):
-        trace_ray(bad, x, 0.0, sc.medium, sc.control, n_steps=100)
-    with pytest.raises(ValueError):
-        grad_index(bad, x, sc.medium, sc.control)
-    with pytest.raises(ValueError):
-        deflection_estimate(bad, x, sc.medium, sc.control)
-    # One bad element in an array of detunings is refused the same way.
-    deltas = np.array([0.0, TWO_PI * 1e4, bad])
-    for call in (
-        lambda: index_gradient(deltas, sc.medium, sc.control),
-        lambda: grad_index(deltas, np.full(3, x), sc.medium, sc.control),
-        lambda: ray_exits(deltas, x, sc.medium, sc.control),
-    ):
-        with pytest.raises(ValueError, match="delta must be finite"):
-            call()
-
-
-def test_huge_detuning_rejected():
+def test_gradient_finite_below_overflow():
     # From |delta| near 1.2e77 rad/s the square of the gradient's rate
-    # product overflows float64 and the gradient would come out NaN, so
-    # such a detuning is refused as a non-finite one is.  At 1e76 Hz the
-    # gradient is still finite: 3.0e-210 per cm.
+    # product overflows float64, and such a detuning is refused (see
+    # test_refusals).  At 1e76 Hz the gradient is still finite: 3.0e-210
+    # per cm.
     sc = default_scene()
     x = sc.probe.offset
-    huge = TWO_PI * 1e77
-    for call in (
-        lambda: grad_index(huge, x, sc.medium, sc.control),
-        lambda: grad_index(-huge, x, sc.medium, sc.control),
-        lambda: trace_ray(huge, x, 0.0, sc.medium, sc.control, n_steps=100),
-        lambda: ray_exits([0.0, -huge], x, sc.medium, sc.control),
-        # Here the rate product itself overflows, before its square.
-        lambda: ray_exits([0.0, TWO_PI * 1e160], x, sc.medium, sc.control),
-    ):
-        with pytest.raises(ValueError, match="delta too large"):
-            call()
     big = TWO_PI * 1e76
     assert grad_index(big, x, sc.medium, sc.control) == pytest.approx(3.0e-210, rel=0.01)
     thetas, flags, certified = ray_exits([-big, big], x, sc.medium, sc.control)
@@ -147,14 +96,6 @@ def test_resonant_ray_nearly_straight():
     sc = default_scene()
     traj = trace_ray(0.0, sc.probe.offset, 0.0, sc.medium, sc.control, 2000)
     assert abs(exit_angle(traj)) < 1e-9
-
-
-def test_step_halving_convergence():
-    sc = default_scene()
-    args = (TWO_PI * 1e4, sc.probe.offset, 0.0, sc.medium, sc.control)
-    coarse = exit_angle(trace_ray(*args, n_steps=10_000))
-    fine = exit_angle(trace_ray(*args, n_steps=20_000))
-    assert abs(fine - coarse) < 1e-8
 
 
 def test_mirror_symmetry():
@@ -397,14 +338,6 @@ def test_paraxial_flag():
     ).paraxial_violation
 
 
-def test_deflection_estimate_dense_cell():
-    # The one-line thin-cell estimate on the dense hot-cell parameter set.
-    medium, control, delta, offset = estimate_parameters()
-    theta = deflection_estimate(delta, offset, medium, control)
-    assert theta == pytest.approx(-0.0996015, rel=1e-5)
-    assert 0.03 <= abs(theta) <= 0.3
-
-
 def test_deflection_estimate_trivial_zeros():
     medium, control, delta, offset = estimate_parameters()
     assert deflection_estimate(delta, control.center, medium, control) == 0.0
@@ -621,24 +554,6 @@ def test_batch_nan_angle_never_flags():
     assert math.isnan(thetas[1])
     assert flags.tolist() == [True, False]
     assert certified.tolist() == [True, False]
-
-
-def test_batch_validation():
-    sc = default_scene()
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            ray_exits([0.0], bad, sc.medium, sc.control)
-        with pytest.raises(ValueError):
-            exit_angles(lambda x: x, np.array([0.0, bad]), 1.0)
-        with pytest.raises(ValueError):
-            exit_angles(lambda x: x, np.zeros(2), bad)
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            exit_angles(lambda x: x, np.zeros(2), bad)
-    with pytest.raises(ValueError, match="1-D"):
-        ray_exits(0.0, sc.probe.offset, sc.medium, sc.control)
-    with pytest.raises(ValueError, match="1-D"):
-        exit_angles(lambda x: x, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Split-step propagator: grids, free-space oracle, medium checks, metrics."""
+"""Split-step propagator: grids, free-space oracle, medium checks, metrics.
+Refused inputs are cases of test_refusals."""
 
 import math
 from dataclasses import replace
@@ -14,7 +15,6 @@ from eitprism.waves import (
     Grid1D,
     GuardBandError,
     TransverseField,
-    ZeroPowerError,
     beam_width,
     centered_grid,
     centroid,
@@ -25,7 +25,6 @@ from eitprism.waves import (
     power,
     propagate_free,
     propagate_medium,
-    propagate_stack,
     transmission,
 )
 from eitprism import default_scene, experiment, waves
@@ -51,15 +50,6 @@ def test_grid_geometry():
     assert len(ks) == 1024
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid1D(n_points=1000, dx=1e-3, x0=0.0)  # not a power of two
-    with pytest.raises(ValueError):
-        Grid1D(n_points=256, dx=1e-3, x0=0.0)  # too few samples
-    with pytest.raises(ValueError):
-        Grid1D(n_points=1024, dx=-1e-3, x0=0.0)
-
-
 def test_probe_is_unit_power():
     g = small_grid()
     f = make_gaussian_probe(g, LAM, waist=0.06, offset=0.25)
@@ -68,32 +58,11 @@ def test_probe_is_unit_power():
     assert beam_width(f) == pytest.approx(0.06, rel=1e-6)
 
 
-def test_probe_validation():
-    g = small_grid()
-    with pytest.raises(ValueError):
-        make_gaussian_probe(g, LAM, waist=g.dx * 4.0, offset=0.0)  # under-resolved
-    with pytest.raises(ValueError):
-        make_gaussian_probe(g, LAM, waist=2.0, offset=0.0)  # grid too narrow
-    with pytest.raises(ValueError):
-        make_gaussian_probe(g, LAM, waist=0.06, offset=2.9)  # off the window
-    # Non-finite inputs are usage errors, not a field that trips the guard.
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            make_gaussian_probe(g, bad, waist=0.06, offset=0.0)
-        with pytest.raises(ValueError):
-            make_gaussian_probe(g, LAM, waist=bad, offset=0.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            make_gaussian_probe(g, LAM, waist=0.06, offset=bad)
-
-
-def test_free_propagation_identity_and_errors():
+def test_free_propagation_identity():
     g = small_grid()
     f = make_gaussian_probe(g, LAM, waist=0.06, offset=0.0)
     same = propagate_free(f, 0.0)
     assert np.array_equal(same.amplitude, f.amplitude)
-    with pytest.raises(ValueError):
-        propagate_free(f, -1.0)
 
 
 def test_free_propagation_conserves_power():
@@ -118,23 +87,6 @@ def test_free_propagation_matches_gaussian_beam():
         assert np.abs(got.amplitude - want.amplitude).max() < 1e-6 * peak
         w_expect = w0 * math.sqrt(1.0 + (dist / zr) ** 2)
         assert beam_width(got) == pytest.approx(w_expect, rel=1e-3)
-
-
-def test_default_probe_doubles_at_detector():
-    # The stock probe roughly doubles its width over the detector arm.
-    sc = default_scene()
-    f = make_gaussian_probe(sc.grid, sc.medium.wavelength, sc.probe.waist, 0.0)
-    out = propagate_free(f, sc.detector_distance)
-    ratio = beam_width(out) / beam_width(f)
-    assert ratio == pytest.approx(1.9265243, rel=1e-6)
-    assert 1.6 <= ratio <= 2.4
-
-
-def test_guard_band_trips_on_overflow():
-    g = centered_grid(2048, 0.4)
-    f = make_gaussian_probe(g, LAM, waist=0.02, offset=0.0)
-    with pytest.raises(GuardBandError):
-        propagate_free(f, 1000.0)
 
 
 def test_medium_vacuum_matches_free():
@@ -222,12 +174,9 @@ def test_opaque_stop():
     assert kept.z == sc.medium.cell_length and not is_opaque(f, kept)
 
 
-def test_non_finite_detuning_and_field():
+def test_non_finite_field():
     sc = default_scene()
     f = make_gaussian_probe(small_grid(), sc.medium.wavelength, 0.06, 0.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            propagate_medium(f, bad, sc.medium, sc.control, 50)
     # A non-finite field fails the guard and is never classed opaque,
     # even though its peak compares False with the opaque floor.
     for bad in (math.nan, math.inf):
@@ -380,25 +329,6 @@ def test_stack_stops_match_the_guard_on_crafted_rows(monkeypatch):
     assert mid < OPAQUE_LEVEL * np.abs(probe.amplitude).max() < min(left, right)
 
 
-def test_medium_validation():
-    sc = default_scene()
-    g = small_grid()
-    f = make_gaussian_probe(g, sc.medium.wavelength, 0.06, 0.0)
-    for n_slices in (10, 48, 65):  # below 50, or odd
-        with pytest.raises(ValueError, match="n_slices must be even and at least 50"):
-            propagate_medium(f, 0.0, sc.medium, sc.control, n_slices)
-        with pytest.raises(ValueError, match="n_slices must be even and at least 50"):
-            next(propagate_stack(f, [0.0, 1.0], sc.medium, sc.control, n_slices))
-    other = TransverseField(g, 6.33e-5, f.amplitude, 0.0)
-    with pytest.raises(ValueError):
-        propagate_medium(other, 0.0, sc.medium, sc.control, n_slices=50)
-    # A launch without power has a zero opaque floor: no row could stop
-    # opaque, and every row would be checked against a zero peak.
-    dark = TransverseField(g, sc.medium.wavelength, np.zeros(g.n_points, complex))
-    with pytest.raises(ValueError, match="no power"):
-        propagate_medium(dark, 0.0, sc.medium, sc.control, n_slices=50)
-
-
 def test_metrics_simple_fields():
     g = small_grid()
     xs = g.xs()
@@ -438,18 +368,6 @@ def test_readout_matches_dot_product_reference():
     assert beam_width(far) == pytest.approx(width, rel=1e-13)
 
 
-def test_metrics_zero_power():
-    g = small_grid()
-    dark = TransverseField(g, LAM, np.zeros(g.n_points, dtype=complex), 0.0)
-    with pytest.raises(ZeroPowerError):
-        centroid(dark)
-    with pytest.raises(ZeroPowerError):
-        beam_width(dark)
-    f = make_gaussian_probe(g, LAM, waist=0.06, offset=0.0)
-    with pytest.raises(ZeroPowerError):
-        transmission(dark, f)
-
-
 def test_moments_match_free_flight():
     # The moment readout against the FFT flight on a grid that holds the
     # spot, and against the closed-form diffracting Gaussian, for the
@@ -470,11 +388,6 @@ def test_moments_match_free_flight():
             exact = gaussian_beam_field(sc.grid, lam, w0, off, dist)
             assert got_w == pytest.approx(beam_width(exact), rel=1e-3)
             assert got_c == pytest.approx(centroid(exact) + dist * s_expect, rel=1e-3)
-    with pytest.raises(ValueError):
-        far_field_moments(probe, -1.0)
-    dark = TransverseField(sc.grid, lam, np.zeros(sc.grid.n_points, dtype=complex))
-    with pytest.raises(ZeroPowerError):
-        far_field_moments(dark, 1.0)
 
 
 def test_moments_drop_evanescent_bins():
