@@ -1,5 +1,6 @@
 """Experiment harness: scenes, single points, sweeps, derived figures.
-Refused scenes and calls are cases of test_refusals."""
+Refused scenes and calls are cases of test_refusals; the NaN and infinite
+scene parameters among them run here, under their old test's name."""
 
 import dataclasses
 import math
@@ -38,6 +39,7 @@ from eitprism.experiment import (
 )
 from reference import IMAGING_DELTAS, NEAR_DELTAS, STOCK_DELTAS, TWO_PI, lone_crossing
 from reference import record_crossings, reference_resolution, strang_crossing, sweep_deltas
+from test_refusals import NON_FINITE_SCENE, REFUSALS, refuses
 from reference import vacuum, whole_grid_transmission
 
 # The ray the summary's pairs give their rows: none traced.
@@ -84,6 +86,13 @@ def test_estimate_parameters_values():
     assert control.omega_peak == pytest.approx(TWO_PI * 1e6, rel=1e-12)
     assert delta == pytest.approx(TWO_PI * 1e3, rel=1e-12)
     assert offset == pytest.approx(control.waist / math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("key", list(NON_FINITE_SCENE.values()), ids=list(NON_FINITE_SCENE))
+def test_non_finite_scene_parameters_rejected(key):
+    # A NaN or infinite parameter is an input error, not a NaN row, an
+    # infinite spot or a guard trip that asks for a wider grid.
+    refuses(REFUSALS[key])
 
 
 def test_scene_with_detector():

@@ -5,6 +5,8 @@ Each case of REFUSALS is a call that must raise: its exception class,
 exactly (a ConfigError is not a ValueError here, nor the reverse), and its
 message, word for word.  A call refused for a reason other than its own,
 such as a NaN span that only the grid's dx check caught, fails its case.
+The NaN and infinite scene parameters run under test_experiment's
+test_non_finite_scene_parameters_rejected, the rest under test_refused.
 The CLI's refusals are the REFUSALS table of test_cli.  A test that checks
 more than a refusal, such as that nothing was crossed before it, stays
 with the code it tests."""
@@ -277,12 +279,32 @@ REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("case", list(REFUSALS.values()), ids=list(REFUSALS))
-def test_refused(case):
+# The NaN and infinite scene parameters keep the test names they have
+# always had: test_experiment's test_non_finite_scene_parameters_rejected
+# runs these rows, by name-value, and test_refused runs the rest.
+NON_FINITE_SCENE = {
+    f"{name}-{v}": f"{'scene-' * (name == 'detector_distance')}{name}-{v}"
+    for name in ("detector_distance", "grid_dx", "grid_x0", "grid_span", "wavelength",
+                 "density", "gamma", "cell_length", "omega_peak", "control_waist",
+                 "control_center", "free_distance", "moments_distance")
+    for v in NAN_INF
+}
+
+
+def refuses(case):
+    """case.call() raises exactly case.error, with exactly case.message."""
     with pytest.raises(case.error) as info:
         case.call()
     assert type(info.value) is case.error
     assert str(info.value) == case.message
+
+
+OWN_ROWS = [key for key in REFUSALS if key not in NON_FINITE_SCENE.values()]
+
+
+@pytest.mark.parametrize("key", OWN_ROWS, ids=OWN_ROWS)
+def test_refused(key):
+    refuses(REFUSALS[key])
 
 
 def test_numpy_integer_counts_pass():
