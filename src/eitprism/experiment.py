@@ -364,6 +364,8 @@ def sweep_detunings(d_min: float, d_max: float, n_points: int) -> list[float]:
     midpoint d_min + 0.5 * (d_max - d_min), so that a range centred on zero
     samples 0 exactly rather than round-off."""
     d_min, d_max = float(d_min), float(d_max)
+    if not isinstance(n_points, numbers.Integral):
+        raise ValueError("n_points must be an integer")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     if not math.isfinite(d_max - d_min):
@@ -394,11 +396,14 @@ def detuning_sweep(
     rows then cross the cell together, whatever their ray, in
     waves.propagate_stack's stacks (see _cross_cell).  A shorter sweep is
     run_point row by row.  ``threads`` is accepted for compatibility and
-    has no effect.  It must be at least 1 when given.
+    has no effect.  When given, it must be an integer of at least 1.
     """
     deltas = sweep_detunings(d_min, d_max, n_points)
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be at least 1")
+    if threads is not None:
+        if not isinstance(threads, numbers.Integral):
+            raise ValueError("threads must be an integer")
+        if threads < 1:
+            raise ValueError("threads must be at least 1")
     if n_points < RAY_BATCH_ROWS:
         return [run_point(scene, delta) for delta in deltas]
     thetas, paraxial, certified = ray_exits(

@@ -128,6 +128,8 @@ class Grid1D:
 
     def __post_init__(self) -> None:
         n = self.n_points
+        if not isinstance(n, numbers.Integral):
+            raise ValueError("n_points must be an integer")
         if n < 512 or (n & (n - 1)) != 0:
             raise ValueError("n_points must be a power of two, at least 512")
         if not 0.0 < self.dx < math.inf:

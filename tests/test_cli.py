@@ -1,5 +1,7 @@
 """CLI surface: CSV schemas, config plumbing, exit codes, determinism.
 
+Every file of tests/data is one row of the GOLDEN table: the command
+that writes it, whose output test_golden compares with it byte for byte.
 Every refusal, a run that exits 2 (bad input) or 3 (a numerical guard),
 is one case of the REFUSALS table, and each case is checked against the
 whole contract by assert_refuses: the exit code, exactly one stderr line
@@ -31,7 +33,7 @@ from eitprism.waves import (
     propagate_medium,
     transmission,
 )
-from reference import TWO_PI, record_crossings, whole_grid_transmission
+from reference import IMAGING_HZ, TWO_PI, record_crossings, whole_grid_transmission
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,29 +114,48 @@ def test_chi_stdout_schema(capsys):
         assert float(rows[k][2]) > 0.0  # passive medium
 
 
-def test_chi_out_file_bytes(tmp_path):
-    out = tmp_path / "chi.csv"
-    assert main(["chi", "--points", "3", "--min-hz", "-100", "--max-hz", "100",
-                 "--out", str(out)]) == 0
-    blob = out.read_bytes()
-    assert b"\r" not in blob
-    assert blob.endswith(b"\n")
-    assert blob.decode("utf-8").splitlines()[0].startswith("detuning_hz,")
+NEAR = ["--points", "41", "--min-hz", "-4e5", "--max-hz", "4e5"]
+IMAGING = [arg for hz in IMAGING_HZ for arg in ("--detuning-hz", f"{hz:g}")]
+
+GOLDEN = {
+    "chi_stock.csv": (["chi"], 1),
+    "chi_near.csv": (["chi", *NEAR], 1),
+    "stock_sweep.csv": (["sweep"], 1),
+    "stock_sweep.summary.csv": (["sweep"], 1),
+    "near_resonance.csv": (["sweep", *NEAR], 1),
+    "trace_2e5.csv": (["trace", "--detuning-hz", "2e5"], 100),
+    "trace_-2e5.csv": (["trace", "--detuning-hz", "-2e5"], 100),
+    "profile_imaging.csv": (["profile", *IMAGING], 256),
+}
+"""Every file of tests/data: the CLI command, on the stock config, that
+writes it, and the step its data rows are thinned by.  test_golden runs
+each command and compares the thinned output with the file byte for
+byte, so the bytes also pin the header, LF endings and the final newline.
+Re-pinning a file after a behaviour change means running its row's
+command, `eitprism <argv> --out <file>`, and thinning it the same way."""
 
 
-@pytest.mark.parametrize(
-    "flags, name",
-    [([], "chi_stock.csv"),
-     (["--points", "41", "--min-hz", "-4e5", "--max-hz", "4e5"], "chi_near.csv")],
-)
-def test_chi_bytes(tmp_path, flags, name):
-    # `eitprism chi` on the empty config and over the 41-row +-400 kHz
-    # range, byte for byte as tests/data holds them: the files chi wrote
-    # when it sampled its range in Hz with np.linspace.
-    out = tmp_path / name
-    cfg = write_config(tmp_path, "")
-    assert main(["chi", "--config", cfg, *flags, "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / name).read_bytes()
+def thinned(blob, every):
+    """The header, any warning lines and every ``every``-th data row of a
+    CLI CSV, as bytes.  The CLI writes its warning lines right after the
+    header, so at ``every`` 1 this is the whole CSV unchanged."""
+    header, *lines = blob.splitlines(keepends=True)
+    notes = [ln for ln in lines if ln.startswith(b"#")]
+    data = [ln for ln in lines if not ln.startswith(b"#")]
+    return b"".join([header, *notes, *data[::every]])
+
+
+def test_golden_rows_are_tests_data():
+    assert set(GOLDEN) == {path.name for path in DATA.iterdir()}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden(tmp_path, name):
+    argv, every = GOLDEN[name]
+    # sweep writes its summary next to --out, as <stem>.summary.csv.
+    out = tmp_path / (name.split(".")[0] + ".csv")
+    assert main([*argv, "--out", str(out)]) == 0
+    assert thinned((tmp_path / name).read_bytes(), every) == (DATA / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -207,41 +228,6 @@ def test_batched_sweep_determinism(tmp_path, monkeypatch):
                           "--threads", threads, name=name)
         blobs.append(b"".join(path.read_bytes() for path in paths))
     assert blobs[0] == blobs[1]
-
-
-def test_stock_sweep_bytes(tmp_path):
-    # The stock run's CSV and summary, byte for byte, as tests/data holds
-    # them: the fourth-order crossing at 64 slices, the slope from the
-    # five-point stencil at 2 pi x 200 Hz, and R the spots' interpolated
-    # crossing inside a confirmed bracket of +-RESOLUTION_TOL (the top of
-    # a 1e-3 bisection bracket printed 1.24083474e+10).
-    for path in run_sweep(tmp_path, "", name="stock_sweep"):
-        assert path.read_bytes() == (DATA / path.name).read_bytes(), path.name
-
-
-def thinned(path, every):
-    """The header, any warning lines and every ``every``-th data row of a
-    CLI CSV, as bytes: the form of the trace and profile files in
-    tests/data."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    notes = [ln for ln in lines[1:] if ln.startswith("#")]
-    data = [ln for ln in lines[1:] if not ln.startswith("#")]
-    return ("\n".join([lines[0]] + notes + data[::every]) + "\n").encode()
-
-
-def test_imaging_bytes(tmp_path):
-    # The imaging workload's outputs, thinned: `eitprism trace` at +-200 kHz
-    # (every 100th of 10001 rows) and `eitprism profile` at its 8 detunings
-    # (every 256th of 16384 rows), as the stock build wrote them.
-    for hz in ("2e5", "-2e5"):
-        out = tmp_path / f"trace_{hz}.csv"
-        assert main(["trace", "--detuning-hz", hz, "--out", str(out)]) == 0
-        assert thinned(out, 100) == (DATA / out.name).read_bytes(), out.name
-    out = tmp_path / "profile_imaging.csv"
-    hzs = ("1e4", "-1e4", "1e5", "-1e5", "2e5", "-2e5", "4e5", "-4e5")
-    args = [arg for hz in hzs for arg in ("--detuning-hz", hz)]
-    assert main(["profile", "--out", str(out), *args]) == 0
-    assert thinned(out, 256) == (DATA / out.name).read_bytes()
 
 
 def test_sweep_vacuum(tmp_path):

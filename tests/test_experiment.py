@@ -7,7 +7,6 @@ import math
 import tracemalloc
 import weakref
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,8 +43,6 @@ from reference import vacuum, whole_grid_transmission
 
 # The ray the summary's pairs give their rows: none traced.
 NO_RAY = (math.nan, False)
-
-DATA = Path(__file__).parent / "data"
 
 # The span of the stock sweep (rad/s), the widest separation the stock
 # resolution search tries.
@@ -364,22 +361,6 @@ def test_long_stack_memory_bounded():
         tracemalloc.stop()
     assert opaque == len(deltas)
     assert peak < 2.0 * stack_bytes
-
-
-def test_near_resonance_sweep_pinned():
-    # The 41-row +-400 kHz sweep at 9 significant digits, as the CLI writes
-    # it: tests/data holds the rows of the fourth-order crossing at the
-    # stock 64 slices, whose wave columns are converged to those digits.
-    rows = detuning_sweep(default_scene(), -TWO_PI * 4e5, TWO_PI * 4e5, 41)
-    assert [r.detuning for r in rows] == NEAR_DELTAS
-    lines = ["detuning_hz,theta_ray_rad,theta_wave_rad,transmission,"
-             "far_centroid_mm,far_width_mm,flags"]
-    for r in rows:
-        values = (r.detuning / TWO_PI, r.theta_ray, r.theta_wave, r.transmission,
-                  r.far_centroid * 10.0, r.far_width * 10.0)
-        lines.append(",".join(["%.9g"] * 6) % values + "," + ";".join(r.flags))
-    text = (DATA / "near_resonance.csv").read_text(encoding="utf-8")
-    assert "\n".join(lines) + "\n" == text
 
 
 def test_split_step_is_accurate_at_the_stock_slices():

@@ -86,6 +86,7 @@ DELTA = "delta must be finite"
 TOO_LARGE = "delta too large: the ray gradient overflows"
 HALF = "probe offset outside the central half of the grid"
 SPAN = "sweep bounds and their span must be finite"
+COUNT = "n_points must be an integer"
 DISTANCE = "distance must be non-negative and finite"
 LENGTH = "length must be positive and finite"
 EDGE = "edge amplitude {} of peak at z={} cm; enlarge the grid span"
@@ -196,7 +197,9 @@ REFUSALS = {
     # Grids and the probe.  Non-finite inputs are usage errors, not a field
     # that trips the guard.
     **each("grid_points", lambda n: Grid1D(n, 1e-3, 0.0),
-           ((1000, 256), "n_points must be a power of two, at least 512")),
+           ((1000, 256), "n_points must be a power of two, at least 512"),
+           ((1024.0,), COUNT)),
+    "grid_span-points_1024.0": Refusal(partial(centered_grid, 1024.0, 12.8), ValueError, COUNT),
     **each("grid_dx", lambda v: Grid1D(1024, v, 0.0),
            ((-1e-3, *NAN_INF), "dx must be positive and finite")),
     **each("grid_x0", lambda v: Grid1D(1024, 1e-3, v), (NAN_INF, "x0 must be finite")),
@@ -260,13 +263,17 @@ REFUSALS = {
     # The probe must lie in the central half of the scene grid.
     "run_point-probe_off_centre": Refusal(lambda: run_point(scene(grid=Grid1D(
         SC.grid.n_points, SC.grid.dx, X - 0.2 * SC.grid.span)), 0.0), ValueError, HALF),
-    # Finite bounds whose span overflows: the steps would be inf and NaN.
-    "sweep_detunings-overflowing_span": Refusal(
-        partial(sweep_detunings, -1.2e308, 1.2e308, 3), ValueError, SPAN),
+    # Finite bounds whose span overflows, where the steps would be inf and
+    # NaN, and a count that is not an integer.
+    **each("sweep_detunings", lambda args: sweep_detunings(*args),
+           ({"overflowing_span": (-1.2e308, 1.2e308, 3)}, SPAN),
+           ({"points_5.0": (-1.0, 1.0, 5.0)}, COUNT)),
     **each("sweep", lambda args: detuning_sweep(SC, *args),
            ({"one_point": (0.0, 1.0, 1)}, "n_points must be at least 2"),
            ({"reversed": (1.0, -1.0, 5)}, "d_max must exceed d_min"),
+           ({"points_5.0": (-1.0, 1.0, 5.0)}, COUNT),
            ({"threads_zero": (0.0, 1.0, 5, 0)}, "threads must be at least 1"),
+           ({"threads_1.5": (0.0, 1.0, 5, 1.5)}, "threads must be an integer"),
            ({"overflowing_span": (-1.2e308, 1.2e308, 3)}, SPAN)),
     # A launch that fails the guard fails every row alike: the sweep and
     # the dispersion stencil stop at their first row.
@@ -313,3 +320,7 @@ def test_numpy_integer_counts_pass():
     assert repr(run_point(counted, TWO_PI * 1e5)) == repr(
         run_point(scene(ray_steps=1000), TWO_PI * 1e5))
     assert integrate_gradient(flat, 0.2, 0.0, 5.0, np.int64(250)).states.shape == (251, 3)
+    assert centered_grid(np.int64(1024), 12.8) == centered_grid(1024, 12.8)
+    assert sweep_detunings(-1.0, 1.0, np.int32(5)) == sweep_detunings(-1.0, 1.0, 5)
+    assert repr(detuning_sweep(SC, -1.0, 1.0, 2, threads=np.int64(2))) == repr(
+        detuning_sweep(SC, -1.0, 1.0, 2))
