@@ -158,6 +158,26 @@ def test_golden(tmp_path, name):
     assert thinned((tmp_path / name).read_bytes(), every) == (DATA / name).read_bytes()
 
 
+@pytest.mark.parametrize("flags, name", [([], "chi_stock.csv")])
+def test_chi_bytes(tmp_path, flags, name):
+    # An empty --config file is the stock config: chi writes the pinned bytes.
+    out = tmp_path / name
+    cfg = write_config(tmp_path, "")
+    assert main(["chi", "--config", cfg, *flags, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_chi_out_file_bytes(tmp_path):
+    # A range no pin covers still gets LF endings, a final newline and the header.
+    out = tmp_path / "chi.csv"
+    assert main(["chi", "--points", "3", "--min-hz", "-100", "--max-hz", "100",
+                 "--out", str(out)]) == 0
+    blob = out.read_bytes()
+    assert b"\r" not in blob
+    assert blob.endswith(b"\n")
+    assert blob.decode("utf-8").splitlines()[0].startswith("detuning_hz,")
+
+
 @pytest.mark.parametrize(
     "points, lo, hi",
     # A range off centre, and one centred on zero: the centre row of each
